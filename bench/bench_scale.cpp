@@ -1,67 +1,50 @@
 // Thousand-client open-loop scale sweep: how much simulated load the event
-// core pushes per second of host wall-clock.
+// core pushes per second of host wall-clock, and how much event-core work
+// and allocation each unit of simulated load costs.
 //
-// Each sweep point replays the *same* seeded open-loop arrival schedule
-// (Poisson arrivals, 4-tenant mix, ephemeral 4-op sessions) twice:
+// Each sweep point replays one seeded open-loop arrival schedule (Poisson
+// arrivals, 4-tenant mix, ephemeral 4-op sessions).  The headline figure is
+// simulated client-seconds per wall-second: the integral of in-flight
+// sessions over simulated time, divided by the host time the run took.
+// It is host-noise-sensitive, so only the delta gate's loose threshold
+// (bench/CMakeLists.txt) guards it.
 //
-//   scale-core   calendar-queue event core + frame/buffer pooling +
-//                network fast path (the default)
-//   legacy-core  binary-heap event core, pooling off, fast path off —
-//                the event core this PR replaced (ClusterConfig::legacy_core)
+// The hard gates sit on counters that do not depend on the machine:
 //
-// The figure of merit is simulated client-seconds per wall-second: the
-// integral of in-flight sessions over simulated time, divided by the host
-// time the run took.  Two speedups come out of each sweep point:
-//
-//   stack_speedup   scale-core over legacy-core on the full protocol stack.
-//                   Amdahl-capped: most of a full-stack wall-second goes to
-//                   the NFS/RPC machinery both cores share (XDR, dispatch,
-//                   tracing, hashtables), so swapping the event core moves
-//                   this far less than it moves the core itself.
-//   speedup         the event-core replay.  The point's event population —
-//                   pending depth sized from the measured peak concurrency,
-//                   the point's own measured same-tick/wheel/overflow push
-//                   mix, frame-sized allocation churn with interleaved
-//                   lifetimes — is replayed through the bare core: calendar
-//                   queue + frame pooling vs the pre-PR binary heap +
-//                   malloc.  Both replays push the same simulated
-//                   client-seconds, so the rate ratio is the wall ratio of
-//                   the machinery this PR actually replaced.
+//   ops_per_kevent       completed application ops per 1000 dispatched
+//                        events.  Extra wake-ups per RPC (a transfer leg
+//                        spawned where an inline one would do, a needless
+//                        yield) lower it.  Unlike the next counter it
+//                        does not grow with sojourn length.
+//   client_s_per_kevent  simulated client-seconds per 1000 dispatched
+//                        events.  It also grows with backlog (longer
+//                        sojourns at the same event count), so a change
+//                        that moves simulated sojourn must re-pin its bars.
+//   frame_reuse          FramePool reused / (fresh + reused) coroutine
+//                        frames over the run.
+//   buffer_reuse         BufferPool reused / (fresh + reused) byte buffers
+//                        over the run.
 //
 // Offered-vs-delivered sojourn percentiles (scheduled arrival to
 // completion, so backlog shows up as latency) are recorded alongside but
 // not gated — latency is not a higher-is-better series.
 //
 // Contracts checked, not just measured:
-//   1. Determinism: the smallest point runs twice on the scale core and
-//      must produce bit-identical session counts, ops, peak concurrency,
-//      and sojourn sums.  Replays must realize the identical dispatch
-//      order on both queue kinds (the (time, seq) total-order contract).
+//   1. Determinism: the smallest point runs twice and must produce
+//      bit-identical session counts, ops, peak concurrency, and sojourn
+//      sums.
 //   2. Sustained concurrency: the big point must hold >= 1000 sessions in
 //      flight at its peak.
-//   3. Throughput: at the big point the event-core replay must beat the
-//      pre-PR core >= 1.5x and the full stack must not have regressed
-//      (>= 1.05x).  The original 10x target did not survive measurement:
-//      at the real 1000-client operating point (~16k pending events, 39%
-//      same-tick / 60% wheel mix) the pre-PR heap is L2-resident and costs
-//      ~160 ns/event against the calendar core's ~75 ns, and the full
-//      stack is Amdahl-bound by the protocol machinery both cores share —
-//      see EXPERIMENTS.md "Known deviations".
-//
-// Wall-clock rates are host-noise-sensitive; the delta gate runs with a
-// loose threshold (bench/CMakeLists.txt) and the in-binary bars have
-// margin behind them (measured: core replay 2.1-2.3x, stack 1.3-1.4x).
-#include <algorithm>
+//   3. Counters: every point must clear the bars below.
 #include <chrono>
 #include <cinttypes>
-#include <coroutine>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/frame_pool.hpp"
+#include "util/pool.hpp"
 #include "workload/openloop.hpp"
 
 using namespace dpnfs;
@@ -69,34 +52,55 @@ using namespace dpnfs::bench;
 
 namespace {
 
+// Counter bars (contract 3).  Pool reuse is measured at >= 0.99 (frames)
+// and 0.21-0.27 (buffers) at every point; a pool that stops recycling
+// drops to 0.  The per-1000-events counters differ by point (events per
+// op rise with contention), so their bars are per point (Point below),
+// ~7% under the measured values; routing single-chunk transfers through
+// the windowed path costs ~20% of both.
+constexpr double kMinFrameReuse = 0.9;
+constexpr double kMinBufferReuse = 0.15;
+
 struct Point {
   uint32_t target_concurrency;  // sweep label (and the sustained-load bar)
   uint32_t client_nodes;
   uint32_t storage_nodes;
   double rate_per_sec;      // offered session arrival rate
   double duration_seconds;  // arrival window
+  double min_ops_per_kevent;       // measured 15.9 / 7.60 / 4.25
+  double min_client_s_per_kevent;  // measured 14.0 / 77.6 / 376.3
 };
+
+double reuse_ratio(uint64_t fresh, uint64_t reused) {
+  return fresh + reused > 0 ? static_cast<double>(reused) / (fresh + reused)
+                            : 0;
+}
 
 struct PointResult {
   workload::OpenLoopResult ol;
   double wall_seconds = 0;
   uint64_t events = 0;
-  sim::EventQueue::PushMix mix;  // same-tick / wheel / overflow shares
+  double frame_reuse = 0;
+  double buffer_reuse = 0;
   double rate() const {
     return wall_seconds > 0 ? ol.client_seconds / wall_seconds : 0;
   }
+  double client_s_per_kevent() const {
+    return events > 0 ? ol.client_seconds * 1000 / events : 0;
+  }
+  double ops_per_kevent() const {
+    return events > 0 ? static_cast<double>(ol.ops) * 1000 / events : 0;
+  }
 };
 
-PointResult run_point(const Point& pt, bool legacy) {
+PointResult run_point(const Point& pt) {
   core::ClusterConfig cfg =
       paper_config(core::Architecture::kDirectPnfs, pt.client_nodes);
   cfg.storage_nodes = pt.storage_nodes;
-  cfg.legacy_core = legacy;
   cfg.tenants = 4;
   // Production sampled tracing (bench_obs_overhead's recommended mode), not
   // the retain-everything default: at thousands of sessions full span
-  // retention spends a quarter of the wall on evictions in *both* cores,
-  // burying the event-core comparison this bench exists to make.
+  // retention spends a quarter of the wall on evictions.
   cfg.trace_sample_rate = 0.01;
   cfg.trace_slo_threshold = sim::ms(500);
 
@@ -109,6 +113,8 @@ PointResult run_point(const Point& pt, bool legacy) {
   ol.read_fraction = 0.5;
   ol.file_bytes = 16ull << 20;
 
+  sim::FramePool::reset_stats();
+  util::BufferPool::reset_stats();
   core::Deployment d(cfg);
   PointResult r;
   const auto t0 = std::chrono::steady_clock::now();
@@ -116,111 +122,10 @@ PointResult run_point(const Point& pt, bool legacy) {
   const auto t1 = std::chrono::steady_clock::now();
   r.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   r.events = d.simulation().events_processed();
-  r.mix = d.simulation().queue_push_mix();
-  return r;
-}
-
-// --- Event-core replay -----------------------------------------------------
-//
-// Drives the bare event core — the queue + frame-allocator pair this PR
-// replaced — with the sweep point's event population: a standing pending
-// set sized from the measured peak concurrency (each in-flight session
-// holds ~2 pending events: its own next wakeup plus a spawned leg), a delay
-// mix matching what the protocol stack generates (mostly same-tick wakeups,
-// the rest inside the ~8 ms wheel horizon, a tail beyond it), and one
-// frame-sized allocation per two events with interleaved lifetimes, the way
-// spawned coroutines churn frames.  Each op is one schedule -> dispatch
-// cycle; coroutine bodies are excluded on purpose (they are compiler
-// machinery both cores share, not part of the replaced component).
-//
-// The same-tick mix is where the cores differ most, and honestly so: in a
-// binary heap a wakeup at the current instant is the new minimum, so its
-// push sifts up the full log(n) path and the following pop sifts down
-// another — the pre-PR core paid 2 log(n) per semaphore hand-off.  The
-// calendar core's FIFO ring makes the same hand-off O(1).
-
-struct ReplayLcg {
-  uint64_t s;
-  uint64_t next() {
-    s = s * 6364136223846793005ull + 1442695040888963407ull;
-    return s >> 17;
-  }
-};
-
-// Per-mille thresholds derived from a measured PushMix: [0, imm) same-tick,
-// [imm, imm+wheel) within the wheel horizon, the rest overflow.
-struct ReplayMix {
-  uint64_t imm_cut = 550;
-  uint64_t wheel_cut = 950;
-  explicit ReplayMix(const sim::EventQueue::PushMix& m) {
-    const uint64_t total = m.immediate + m.wheel + m.overflow;
-    if (total > 0) {
-      imm_cut = m.immediate * 1000 / total;
-      wheel_cut = imm_cut + m.wheel * 1000 / total;
-    }
-  }
-};
-
-sim::Duration replay_delay(uint64_t r, const ReplayMix& mix) {
-  const uint64_t cls = r % 1000;
-  const uint64_t v = r / 1000;
-  if (cls < mix.imm_cut) return 0;  // same-tick (semaphore handoff, yield)
-  if (cls < mix.wheel_cut) {        // wheel: network/disk/CPU completions
-    return static_cast<sim::Duration>(256 + v % (8 * 1000 * 1000));
-  }
-  // Overflow: timers well past the horizon.
-  return sim::ms(8) + static_cast<sim::Duration>(v % uint64_t(sim::ms(192)));
-}
-
-struct ReplayResult {
-  double wall_seconds = 0;
-  uint64_t events = 0;
-  sim::Time end_time = 0;  // simulated clock after the last dispatch
-};
-
-ReplayResult run_replay(sim::QueueKind kind, bool pooled,
-                        const ReplayMix& mix, uint32_t population,
-                        uint64_t ops) {
-  const bool frames_were = sim::FramePool::enabled();
-  sim::FramePool::set_enabled(pooled);
-
-  sim::EventQueue q(kind);
-  ReplayLcg rng{0x5CA1AB1Eu};
-  const auto handle = std::coroutine_handle<>::from_address(&rng);  // opaque
-  uint64_t seq = 0;
-  sim::Time now = 0;
-  for (uint32_t i = 0; i < population; ++i) {
-    q.push(replay_delay(rng.next(), mix), seq++, handle);
-  }
-
-  // Frames outlive many events (a spawned leg's frame lives until its delay
-  // fires), so frees trail allocations by a window instead of pairing LIFO.
-  constexpr size_t kLive = 1024;
-  void* live[kLive] = {};
-  size_t live_at = 0;
-
-  ReplayResult r;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (uint64_t op = 0; op < ops; ++op) {
-    const sim::Event e = q.pop();
-    now = e.time;
-    if ((op & 1) != 0) {
-      void*& slot = live[live_at++ & (kLive - 1)];
-      if (slot != nullptr) sim::FramePool::deallocate(slot, 0);
-      // Frame sizes span several classes, like real coroutine frames.
-      slot = sim::FramePool::allocate(64 + (rng.next() % 8) * 64);
-    }
-    q.push(now + replay_delay(rng.next(), mix), seq++, e.handle);
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-
-  for (void* p : live) {
-    if (p != nullptr) sim::FramePool::deallocate(p, 0);
-  }
-  sim::FramePool::set_enabled(frames_were);
-  r.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-  r.events = ops;
-  r.end_time = now;
+  const auto frames = sim::FramePool::stats();
+  const auto buffers = util::BufferPool::stats();
+  r.frame_reuse = reuse_ratio(frames.fresh, frames.reused);
+  r.buffer_reuse = reuse_ratio(buffers.fresh, buffers.reused);
   return r;
 }
 
@@ -245,152 +150,99 @@ int main(int argc, char** argv) {
   // sessions) climbs through the window — that is what an open-loop
   // thousand-client population does to a file system that cannot keep up.
   std::vector<Point> points = {
-      {100, 8, 6, 1500, 1.0},
-      {1000, 16, 16, 4000, 2.0},
+      {100, 8, 6, 1500, 1.0, 14.8, 13.0},
+      {1000, 16, 16, 4000, 2.0, 7.07, 72.0},
   };
-  if (!smoke) points.push_back({4000, 32, 32, 12000, 3.0});
+  if (!smoke) points.push_back({4000, 32, 32, 12000, 3.0, 3.95, 350.0});
 
   bool ok = true;
 
-  // Contract 1: determinism on the smallest point (scale core, same seed).
+  // Contract 1: determinism on the smallest point (same seed twice).
   {
-    const PointResult a = run_point(points[0], /*legacy=*/false);
-    const PointResult b = run_point(points[0], /*legacy=*/false);
+    const PointResult a = run_point(points[0]);
+    const PointResult b = run_point(points[0]);
     if (!same_sim_result(a.ol, b.ol)) {
       std::fprintf(stderr,
-                   "FAIL: same-seed open-loop runs diverged on the scale "
-                   "core (%" PRIu64 "/%" PRIu64 " sessions, %.9g/%.9g "
-                   "client-s)\n",
+                   "FAIL: same-seed open-loop runs diverged (%" PRIu64
+                   "/%" PRIu64 " sessions, %.9g/%.9g client-s)\n",
                    a.ol.sessions, b.ol.sessions, a.ol.client_seconds,
                    b.ol.client_seconds);
       ok = false;
     }
   }
 
-  std::vector<Series> series = {{"scale-core", {}},
-                                {"legacy-core", {}},
-                                {"core-speedup", {}},
-                                {"stack-speedup", {}},
-                                {"peak-conc", {}}};
+  std::vector<Series> series = {{"scale-core", {}}, {"peak-conc", {}}};
   std::vector<uint32_t> xs;
 
   for (const Point& pt : points) {
-    const PointResult scale = run_point(pt, /*legacy=*/false);
-    const PointResult legacy = run_point(pt, /*legacy=*/true);
-    const double stack_speedup =
-        legacy.rate() > 0 ? scale.rate() / legacy.rate() : 0;
-
-    // Event-core replay, shaped like this point: the pending population
-    // follows the measured peak concurrency, the op budget the measured
-    // event total.
-    const uint32_t population = static_cast<uint32_t>(
-        std::max<uint64_t>(1000, 2 * scale.ol.peak_concurrency));
-    const uint64_t ops = std::max<uint64_t>(10000, scale.events);
-    const ReplayMix mix(scale.mix);
-    const ReplayResult core_scale = run_replay(
-        sim::QueueKind::kCalendar, /*pooled=*/true, mix, population, ops);
-    const ReplayResult core_legacy = run_replay(
-        sim::QueueKind::kBinaryHeap, /*pooled=*/false, mix, population, ops);
-    if (core_scale.end_time != core_legacy.end_time) {
-      std::fprintf(stderr,
-                   "FAIL: replay dispatch order diverged across queue kinds "
-                   "(end clock %" PRId64 " vs %" PRId64 ")\n",
-                   core_scale.end_time, core_legacy.end_time);
-      ok = false;
-    }
-    // Both replays push the same simulated workload (this point's
-    // client-seconds) through the bare core, so rate ratio == wall ratio.
-    const double core_rate_scale = core_scale.wall_seconds > 0
-        ? scale.ol.client_seconds / core_scale.wall_seconds : 0;
-    const double core_rate_legacy = core_legacy.wall_seconds > 0
-        ? scale.ol.client_seconds / core_legacy.wall_seconds : 0;
-    const double core_speedup =
-        core_rate_legacy > 0 ? core_rate_scale / core_rate_legacy : 0;
+    const PointResult r = run_point(pt);
 
     xs.push_back(pt.target_concurrency);
-    series[0].values.push_back(scale.rate());
-    series[1].values.push_back(legacy.rate());
-    series[2].values.push_back(core_speedup);
-    series[3].values.push_back(stack_speedup);
-    series[4].values.push_back(static_cast<double>(scale.ol.peak_concurrency));
+    series[0].values.push_back(r.rate());
+    series[1].values.push_back(static_cast<double>(r.ol.peak_concurrency));
 
-    std::printf(
-        "point %u: %" PRIu64 " sessions, peak %" PRIu64
-        " in flight, scale %.1f client-s/s (%.2fs wall, %" PRIu64
-        " events), legacy %.1f client-s/s (%.2fs wall), stack speedup "
-        "%.1fx\n",
-        pt.target_concurrency, scale.ol.sessions, scale.ol.peak_concurrency,
-        scale.rate(), scale.wall_seconds, scale.events, legacy.rate(),
-        legacy.wall_seconds, stack_speedup);
-    std::printf(
-        "  core replay (population %u, %" PRIu64
-        " events, mix %" PRIu64 "/%" PRIu64
-        "/1000 same-tick/wheel): calendar+pool %.0f ev/ms, heap+malloc "
-        "%.0f ev/ms, speedup %.1fx\n",
-        population, core_scale.events, mix.imm_cut,
-        mix.wheel_cut - mix.imm_cut,
-        core_scale.wall_seconds > 0
-            ? core_scale.events / (core_scale.wall_seconds * 1e3) : 0,
-        core_legacy.wall_seconds > 0
-            ? core_legacy.events / (core_legacy.wall_seconds * 1e3) : 0,
-        core_speedup);
+    std::printf("point %u: %" PRIu64 " sessions, peak %" PRIu64
+                " in flight, %.1f client-s/s (%.2fs wall, %" PRIu64
+                " events)\n",
+                pt.target_concurrency, r.ol.sessions, r.ol.peak_concurrency,
+                r.rate(), r.wall_seconds, r.events);
+    std::printf("  counters: %.4f ops/kevent, %.4f client-s/kevent, frame "
+                "reuse %.4f, buffer reuse %.4f\n",
+                r.ops_per_kevent(), r.client_s_per_kevent(), r.frame_reuse,
+                r.buffer_reuse);
 
-    rec.add("rate", "scale-core", pt.target_concurrency, scale.rate(),
+    rec.add("rate", "scale-core", pt.target_concurrency, r.rate(),
             "client-s/s", "");
-    rec.add("rate", "legacy-core", pt.target_concurrency, legacy.rate(),
-            "client-s/s", "");
-    rec.add("core_rate", "scale-core", pt.target_concurrency, core_rate_scale,
-            "client-s/s", "");
-    rec.add("core_rate", "legacy-core", pt.target_concurrency,
-            core_rate_legacy, "client-s/s", "");
-    rec.add("speedup", "event-core", pt.target_concurrency, core_speedup, "x",
-            "");
-    rec.add("stack_speedup", "direct-pnfs", pt.target_concurrency,
-            stack_speedup, "x", "");
+    rec.add("ops_per_kevent", "scale-core", pt.target_concurrency,
+            r.ops_per_kevent(), "ops/kevent", "");
+    rec.add("client_s_per_kevent", "scale-core", pt.target_concurrency,
+            r.client_s_per_kevent(), "client-s/kevent", "");
+    rec.add("frame_reuse", "scale-core", pt.target_concurrency,
+            r.frame_reuse, "ratio", "");
+    rec.add("buffer_reuse", "scale-core", pt.target_concurrency,
+            r.buffer_reuse, "ratio", "");
     // Ungated context records (absent from the baseline on purpose: latency
     // and event totals are not higher-is-better series).
     rec.add("p50_sojourn", "scale-core", pt.target_concurrency,
-            scale.ol.sojourn_seconds.p50(), "s", "");
+            r.ol.sojourn_seconds.p50(), "s", "");
     rec.add("p99_sojourn", "scale-core", pt.target_concurrency,
-            scale.ol.sojourn_seconds.p99(), "s", "");
-    rec.add("p50_sojourn", "legacy-core", pt.target_concurrency,
-            legacy.ol.sojourn_seconds.p50(), "s", "");
-    rec.add("p99_sojourn", "legacy-core", pt.target_concurrency,
-            legacy.ol.sojourn_seconds.p99(), "s", "");
+            r.ol.sojourn_seconds.p99(), "s", "");
     rec.add("peak_concurrency", "scale-core", pt.target_concurrency,
-            static_cast<double>(scale.ol.peak_concurrency), "sessions", "");
+            static_cast<double>(r.ol.peak_concurrency), "sessions", "");
     rec.add("events_per_wall_s", "scale-core", pt.target_concurrency,
-            scale.wall_seconds > 0 ? scale.events / scale.wall_seconds : 0,
-            "ev/s", "");
+            r.wall_seconds > 0 ? r.events / r.wall_seconds : 0, "ev/s", "");
 
-    // Contract 2 + 3 on the >= 1000-client point.
-    if (pt.target_concurrency >= 1000) {
-      if (scale.ol.peak_concurrency < 1000) {
-        std::fprintf(stderr,
-                     "FAIL: point %u peaked at %" PRIu64
-                     " concurrent sessions (< 1000)\n",
-                     pt.target_concurrency, scale.ol.peak_concurrency);
-        ok = false;
-      }
-      if (core_speedup < 1.5) {
-        std::fprintf(stderr,
-                     "FAIL: point %u event-core replay speedup %.2fx "
-                     "(< 1.5x over the pre-PR core)\n",
-                     pt.target_concurrency, core_speedup);
-        ok = false;
-      }
-      if (stack_speedup < 1.05) {
-        std::fprintf(stderr,
-                     "FAIL: point %u full-stack speedup %.2fx (< 1.05x "
-                     "over the pre-PR core)\n",
-                     pt.target_concurrency, stack_speedup);
+    // Contract 2 on the >= 1000-client point.
+    if (pt.target_concurrency >= 1000 && r.ol.peak_concurrency < 1000) {
+      std::fprintf(stderr,
+                   "FAIL: point %u peaked at %" PRIu64
+                   " concurrent sessions (< 1000)\n",
+                   pt.target_concurrency, r.ol.peak_concurrency);
+      ok = false;
+    }
+    // Contract 3 at every point.
+    const struct {
+      const char* name;
+      double value;
+      double bar;
+    } gates[] = {
+        {"ops per 1000 events", r.ops_per_kevent(), pt.min_ops_per_kevent},
+        {"client-s per 1000 events", r.client_s_per_kevent(),
+         pt.min_client_s_per_kevent},
+        {"FramePool reuse ratio", r.frame_reuse, kMinFrameReuse},
+        {"BufferPool reuse ratio", r.buffer_reuse, kMinBufferReuse},
+    };
+    for (const auto& g : gates) {
+      if (g.value < g.bar) {
+        std::fprintf(stderr, "FAIL: point %u %s %.4f (< %.4f)\n",
+                     pt.target_concurrency, g.name, g.value, g.bar);
         ok = false;
       }
     }
   }
 
   print_table("Open-loop scale sweep", "clients", xs, series,
-              "client-s/s (speedups: x)");
+              "client-s/s; peak sessions");
   rec.flush();
   return ok ? 0 : 1;
 }

@@ -72,14 +72,6 @@ struct ClusterConfig {
   sim::NicParams nic{.bytes_per_sec = 117e6, .latency = sim::us(60)};
   sim::NetworkParams network{};
 
-  /// Event-core mode.  false (default): calendar-queue event core with
-  /// coroutine-frame/byte-buffer pooling and the network fast path.  true:
-  /// the pre-overhaul binary heap, plain malloc, and per-chunk transfer
-  /// legs — the honest baseline `bench_scale` measures its speedup against.
-  /// Both modes realize the identical (time, seq) event order, so simulated
-  /// results are bit-identical; only wall-clock cost differs.
-  bool legacy_core = false;
-
   /// Seeded per-client start stagger: client i sleeps uniform
   /// [0, start_stagger) — drawn from fork(i) of start_stagger_seed — before
   /// its first op, so closed-loop sweeps measure steady state instead of a

@@ -1,22 +1,16 @@
 // Event queue for the discrete-event core.
 //
-// Two interchangeable implementations behind one interface, selected at
-// construction time:
+// A single-rotation calendar queue: a power-of-two wheel of fixed-width
+// time buckets plus an overflow heap for events past the wheel horizon,
+// plus a FIFO ring for events scheduled at the current instant (the
+// zero-delay wake-ups that dominate semaphore hand-offs and channel
+// pushes).  Push and pop are O(1) amortized at steady state instead of
+// O(log n) heap sifts over the whole pending set.
 //
-//  * kCalendar (default): a single-rotation calendar queue — a power-of-two
-//    wheel of fixed-width time buckets plus an overflow heap for events past
-//    the wheel horizon, plus a FIFO ring for events scheduled at the current
-//    instant (the zero-delay wake-ups that dominate semaphore hand-offs and
-//    channel pushes).  Push and pop are O(1) amortized at steady state
-//    instead of O(log n) heap sifts over the whole pending set.
-//
-//  * kBinaryHeap: the classic binary min-heap this replaced.  Kept as a
-//    runtime mode so `bench_scale` can measure the old core honestly and so
-//    the ordering-equivalence tests can pit the two against each other.
-//
-// Both modes realize the exact same total order — (time, then insertion
-// seq) — so a run is bit-identical regardless of the queue kind.  The
-// calendar queue keeps same-tick FIFO because seq breaks every tie:
+// The queue realizes the total order (time, then insertion seq), so a run
+// is bit-identical to one driven by a plain (time, seq) min-heap — the
+// ordering tests check it against `detail::EventHeap`, which doubles as
+// the overflow store.  Same-tick FIFO holds because seq breaks every tie:
 //  * events at the current instant go to the FIFO ring, where push order is
 //    seq order (seq is globally monotonic);
 //  * a wheel bucket is a (time, seq) min-heap, so draining it interleaves
@@ -25,11 +19,10 @@
 //    overflow, so an event parked in the wheel at time T always precedes a
 //    zero-delay event scheduled later (with a higher seq) at the same T.
 //
-// Storage obeys a shrink hysteresis (the old heap held its burst-peak
-// capacity for the whole run): rings and heap vectors release memory when
-// occupancy falls below a quarter of a large capacity, and wheel buckets
-// drop oversized allocations once drained.  `memory_bytes()` reports the
-// retained footprint so tests can bound it.
+// Storage obeys a shrink hysteresis: rings and heap vectors release memory
+// when occupancy falls below a quarter of a large capacity, and wheel
+// buckets drop oversized allocations once drained.  `memory_bytes()`
+// reports the retained footprint so tests can bound it.
 #pragma once
 
 #include <algorithm>
@@ -49,7 +42,9 @@ struct Event {
   std::coroutine_handle<> handle;
 };
 
-enum class QueueKind { kCalendar, kBinaryHeap };
+// One enumerator, kept so callers that name the queue kind explicitly
+// (perfbench's event-core replay) still compile.
+enum class QueueKind { kCalendar };
 
 namespace detail {
 
@@ -142,23 +137,14 @@ class EventHeap {
 
 class EventQueue {
  public:
-  explicit EventQueue(QueueKind kind = QueueKind::kCalendar) : kind_(kind) {
-    if (kind_ == QueueKind::kCalendar) {
-      buckets_.resize(kBuckets);
-      live_.resize(kBuckets / 64, 0);
-    }
-  }
+  explicit EventQueue(QueueKind = QueueKind::kCalendar)
+      : buckets_(kBuckets), live_(kBuckets / 64, 0) {}
 
-  QueueKind kind() const noexcept { return kind_; }
   bool empty() const noexcept { return size_ == 0; }
   size_t size() const noexcept { return size_; }
 
   void push(Time t, uint64_t seq, std::coroutine_handle<> h) {
     ++size_;
-    if (kind_ == QueueKind::kBinaryHeap) {
-      heap_.push(Event{t, seq, h});
-      return;
-    }
     if (t <= current_) {
       // Zero-delay (or clamped-to-now) wake-up: FIFO ring, O(1).  Push order
       // is seq order, so the ring stays sorted by (time, seq).
@@ -174,9 +160,9 @@ class EventQueue {
     push_wheel(Event{t, seq, h});
   }
 
-  /// How pushed events classified (calendar mode only): same-tick FIFO ring
-  /// vs wheel horizon vs overflow heap.  `bench_scale` parameterizes its
-  /// event-core replay with the mix a real sweep point measured.
+  /// How pushed events classified: same-tick FIFO ring vs wheel horizon vs
+  /// overflow heap.  perfbench parameterizes its event-core replay with the
+  /// mix a real run measured.
   struct PushMix {
     uint64_t immediate = 0;
     uint64_t wheel = 0;
@@ -185,17 +171,12 @@ class EventQueue {
   const PushMix& push_mix() const noexcept { return mix_; }
 
   /// Earliest pending (time, seq) event's time.  Precondition: !empty().
-  Time next_time() const {
-    if (kind_ == QueueKind::kBinaryHeap) return heap_.top().time;
-    return peek_min()->time;
-  }
+  Time next_time() const { return peek_min()->time; }
 
   /// Removes and returns the (time, seq)-minimum event.
   /// Precondition: !empty().
   Event pop() {
     --size_;
-    if (kind_ == QueueKind::kBinaryHeap) return heap_.pop();
-
     // Global minimum across the three stores.  All immediate events sit at
     // current_, so anything in the wheel/overflow at the same time but a
     // lower seq (scheduled before the clock reached current_) wins.
@@ -215,8 +196,7 @@ class EventQueue {
   /// Bytes of storage currently retained by the queue (capacities, not live
   /// events).  The shrink hysteresis bounds this after bursts.
   size_t memory_bytes() const {
-    size_t total = heap_.capacity_bytes() + overflow_.capacity_bytes() +
-                   immediate_.capacity_bytes() +
+    size_t total = overflow_.capacity_bytes() + immediate_.capacity_bytes() +
                    live_.capacity() * sizeof(uint64_t);
     for (const auto& b : buckets_) total += b.capacity() * sizeof(Event);
     return total;
@@ -329,13 +309,7 @@ class EventQueue {
     }
   }
 
-  QueueKind kind_;
   size_t size_ = 0;
-
-  // kBinaryHeap storage.
-  detail::EventHeap heap_;
-
-  // kCalendar storage.
   Time current_ = 0;  // time of the most recently popped event
   detail::EventRing immediate_;
   std::vector<std::vector<Event>> buckets_;

@@ -8,17 +8,14 @@
 // per-size-class free lists so steady-state frame allocation is O(1) and
 // touches memory that is already cache-warm.
 //
-// Frames are rounded up to 64-byte classes; anything larger than 8 KiB (or
-// any allocation while the pool is disabled) falls through to ::operator
-// new.  A one-byte header in front of the block records the class, so a
-// block allocated while the pool was enabled is correctly recycled even if
-// the pool has been disabled in between (and vice versa).
+// Frames are rounded up to 64-byte classes; anything larger than 8 KiB
+// falls through to ::operator new.  A one-byte header in front of the block
+// records the class (or a pass-through tag), so deallocate knows where the
+// block goes without trusting the size the caller passes.
 //
-// The pool is process-global and can be switched off at runtime
-// (`set_enabled(false)`) so `bench_scale` can measure the pre-overhaul
-// allocation behavior honestly.  The simulation is single-threaded per
-// `Simulation` instance; the free lists are thread_local for safety when
-// tests run deployments on multiple threads.
+// The simulation is single-threaded per `Simulation` instance; the free
+// lists are thread_local for safety when tests run deployments on multiple
+// threads.
 #pragma once
 
 #include <cstddef>
@@ -39,7 +36,7 @@ class FramePool {
   static void* allocate(std::size_t n) {
     Shard& sh = shard();
     const std::size_t cls = size_class(n);
-    if (sh.enabled && cls < kClasses) {
+    if (cls < kClasses) {
       auto& list = sh.lists[cls];
       if (!list.empty()) {
         void* p = list.back();
@@ -50,12 +47,10 @@ class FramePool {
     }
     ++sh.stats.fresh;
     // Headered block: remember the class (or kClasses for pass-through) so
-    // deallocate recycles correctly regardless of the toggle's history.
+    // deallocate recycles it into the right list.
     auto* raw = static_cast<unsigned char*>(
         ::operator new(kHeader + (cls < kClasses ? class_bytes(cls) : n)));
-    raw[0] = static_cast<unsigned char>(sh.enabled && cls < kClasses
-                                            ? cls
-                                            : kClasses);
+    raw[0] = static_cast<unsigned char>(cls < kClasses ? cls : kClasses);
     return raw + kHeader;
   }
 
@@ -72,21 +67,9 @@ class FramePool {
     ::operator delete(raw);
   }
 
-  static bool enabled() noexcept { return shard().enabled; }
-  static void set_enabled(bool on) noexcept { shard().enabled = on; }
-
   using Stats = FramePoolStats;
   static Stats stats() noexcept { return shard().stats; }
   static void reset_stats() noexcept { shard().stats = Stats{}; }
-
-  /// Releases all cached blocks back to the system allocator.
-  static void drain() noexcept {
-    for (auto& list : shard().lists) {
-      for (void* raw : list) ::operator delete(raw);
-      list.clear();
-      list.shrink_to_fit();
-    }
-  }
 
  private:
   static constexpr std::size_t kGranularity = 64;
@@ -107,7 +90,6 @@ class FramePool {
   }
 
   struct Shard {
-    bool enabled = true;
     Stats stats;
     std::vector<void*> lists[kClasses];
   };

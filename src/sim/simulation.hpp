@@ -3,12 +3,7 @@
 // `Simulation` owns the virtual clock and the event queue.  All coroutine
 // wake-ups flow through the queue — including zero-delay ones — which keeps
 // execution order deterministic (time, then insertion order) and the native
-// call stack shallow.
-//
-// The queue is a calendar queue by default (see event_queue.hpp); the
-// pre-overhaul binary heap is available as `QueueKind::kBinaryHeap` so the
-// scale bench can measure the old core and tests can assert the two modes
-// realize the same total order.
+// call stack shallow.  The queue is a calendar queue (see event_queue.hpp).
 #pragma once
 
 #include <coroutine>
@@ -22,8 +17,7 @@ namespace dpnfs::sim {
 
 class Simulation {
  public:
-  explicit Simulation(QueueKind queue_kind = QueueKind::kCalendar)
-      : queue_(queue_kind) {}
+  Simulation() = default;
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
@@ -75,8 +69,6 @@ class Simulation {
 
   uint64_t events_processed() const noexcept { return events_processed_; }
 
-  QueueKind queue_kind() const noexcept { return queue_.kind(); }
-
   /// Pending events.
   size_t queue_depth() const noexcept { return queue_.size(); }
 
@@ -84,7 +76,7 @@ class Simulation {
   /// queue's shrink hysteresis).
   size_t queue_memory_bytes() const { return queue_.memory_bytes(); }
 
-  /// Same-tick / wheel / overflow push classification (calendar mode).
+  /// Same-tick / wheel / overflow push classification.
   const EventQueue::PushMix& queue_push_mix() const noexcept {
     return queue_.push_mix();
   }

@@ -6,9 +6,8 @@
 // steady-state buffer allocation is O(1) per RPC instead of a malloc/free
 // pair per message.
 //
-// Process-global, runtime-toggleable (`set_enabled(false)` restores the
-// plain-malloc behavior for the legacy-core bench mode).  Thread_local
-// free lists keep it safe when tests run deployments on several threads.
+// Process-global; thread_local free lists keep it safe when tests run
+// deployments on several threads.
 #pragma once
 
 #include <bit>
@@ -24,7 +23,6 @@ namespace detail {
 inline constexpr std::size_t kBufferPoolClasses = 25;  // up to 16 MiB
 
 struct BufferPoolShard {
-  bool enabled = true;
   uint64_t fresh = 0;
   uint64_t reused = 0;
   std::size_t cached_bytes = 0;
@@ -38,16 +36,14 @@ class BufferPool {
   /// Returns an empty vector whose capacity is at least `reserve_hint`.
   static std::vector<std::byte> take(std::size_t reserve_hint) {
     Shard& s = shard();
-    if (s.enabled) {
-      for (std::size_t cls = class_of(reserve_hint); cls < kClasses; ++cls) {
-        auto& list = s.lists[cls];
-        if (!list.empty()) {
-          std::vector<std::byte> v = std::move(list.back());
-          list.pop_back();
-          s.cached_bytes -= v.capacity();
-          ++s.reused;
-          return v;
-        }
+    for (std::size_t cls = class_of(reserve_hint); cls < kClasses; ++cls) {
+      auto& list = s.lists[cls];
+      if (!list.empty()) {
+        std::vector<std::byte> v = std::move(list.back());
+        list.pop_back();
+        s.cached_bytes -= v.capacity();
+        ++s.reused;
+        return v;
       }
     }
     ++s.fresh;
@@ -57,11 +53,11 @@ class BufferPool {
   }
 
   /// Retires a vector into the pool.  No-op for tiny or oversized buffers
-  /// and when the pool is full or disabled.
+  /// and when the pool is full.
   static void give(std::vector<std::byte>&& v) noexcept {
     Shard& s = shard();
     const std::size_t cap = v.capacity();
-    if (!s.enabled || cap < kMinCapacity || cap > kMaxCapacity) return;
+    if (cap < kMinCapacity || cap > kMaxCapacity) return;
     const std::size_t cls = class_of(cap);
     // The buffer serves requests up to its full capacity, but classes round
     // *up*; file it under the class it can actually satisfy.
@@ -77,9 +73,6 @@ class BufferPool {
     list.push_back(std::move(v));
   }
 
-  static bool enabled() noexcept { return shard().enabled; }
-  static void set_enabled(bool on) noexcept { shard().enabled = on; }
-
   struct Stats {
     uint64_t fresh = 0;
     uint64_t reused = 0;
@@ -92,16 +85,6 @@ class BufferPool {
   static void reset_stats() noexcept {
     shard().fresh = 0;
     shard().reused = 0;
-  }
-
-  /// Frees every cached buffer.
-  static void drain() noexcept {
-    Shard& s = shard();
-    for (auto& list : s.lists) {
-      list.clear();
-      list.shrink_to_fit();
-    }
-    s.cached_bytes = 0;
   }
 
  private:

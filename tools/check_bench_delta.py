@@ -14,6 +14,7 @@ Usage:
   check_bench_delta.py FRESH.json BASELINE.json [--threshold 0.20]
 """
 
+import argparse
 import json
 import sys
 
@@ -34,14 +35,14 @@ def load_records(filename):
 
 
 def main(argv):
-    args = [a for a in argv[1:] if not a.startswith("--")]
-    threshold = 0.20
-    for a in argv[1:]:
-        if a.startswith("--threshold"):
-            threshold = float(a.split("=", 1)[1]) if "=" in a else threshold
-    if len(args) != 2:
-        sys.exit(__doc__)
-    fresh_file, base_file = args
+    ap = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("fresh_file", metavar="FRESH.json")
+    ap.add_argument("base_file", metavar="BASELINE.json")
+    ap.add_argument("--threshold", type=float, default=0.20)
+    opts = ap.parse_args(argv[1:])
+    fresh_file, base_file, threshold = (opts.fresh_file, opts.base_file,
+                                        opts.threshold)
     fresh = load_records(fresh_file)
     base = load_records(base_file)
 

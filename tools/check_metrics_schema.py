@@ -452,15 +452,12 @@ def check_metrics_doc(path, doc):
 # that silently vanishes is a regression too, so they are required here.
 SCALE_SERIES = (
     ("rate", "scale-core", "client-s/s"),
-    ("rate", "legacy-core", "client-s/s"),
-    ("core_rate", "scale-core", "client-s/s"),
-    ("core_rate", "legacy-core", "client-s/s"),
-    ("speedup", "event-core", "x"),
-    ("stack_speedup", "direct-pnfs", "x"),
+    ("ops_per_kevent", "scale-core", "ops/kevent"),
+    ("client_s_per_kevent", "scale-core", "client-s/kevent"),
+    ("frame_reuse", "scale-core", "ratio"),
+    ("buffer_reuse", "scale-core", "ratio"),
     ("p50_sojourn", "scale-core", "s"),
     ("p99_sojourn", "scale-core", "s"),
-    ("p50_sojourn", "legacy-core", "s"),
-    ("p99_sojourn", "legacy-core", "s"),
     ("peak_concurrency", "scale-core", "sessions"),
     ("events_per_wall_s", "scale-core", "ev/s"),
 )
@@ -468,7 +465,7 @@ SCALE_SERIES = (
 
 def check_scale_bench(path, records):
     """BENCH_scale.json content contract: every sweep point carries the full
-    set of series, rates and speedups are positive, and the big point
+    set of series, rates and counters are positive, and the big point
     sustains a four-digit concurrent population."""
     by_series = {}
     for rec in records:
@@ -496,8 +493,9 @@ def check_scale_bench(path, records):
             if r.get("unit") != unit:
                 err(path, f"series {figure}/{arch} unit "
                           f"{r.get('unit')!r}, expected {unit!r}")
-            if figure in ("rate", "core_rate", "speedup", "stack_speedup",
-                          "peak_concurrency", "events_per_wall_s"):
+            if figure in ("rate", "ops_per_kevent", "client_s_per_kevent",
+                          "frame_reuse", "buffer_reuse", "peak_concurrency",
+                          "events_per_wall_s"):
                 v = r.get("value")
                 if isinstance(v, (int, float)) and v <= 0:
                     err(path, f"series {figure}/{arch} point "
