@@ -146,17 +146,7 @@ ReadResult run_degraded_read(pvfs::DistKind kind, uint32_t clients,
   core::ClusterConfig cfg = scheme_config(kind, clients);
   cfg.clients = clients * 2;  // writers + cold readers
   if (kill) {
-    // Fast-failure posture for a node that is never coming back (mirrors
-    // `simulate --fault-ds-kill`): bounded deadlines, a hair-trigger
-    // breaker that stays open, fast-failing meta-side size gathers.
-    cfg.nfs_client.ds_timeout = sim::ms(200);
-    cfg.nfs_client.ds_rpc_retries = 2;
-    cfg.nfs_client.slice_retries = 1;
-    cfg.nfs_client.breaker_threshold = 2;
-    cfg.nfs_client.breaker_reset = sim::sec(600);
-    cfg.nfs_client.mds_timeout = sim::ms(3000);
-    cfg.pvfs_client.io_timeout = sim::ms(200);
-    cfg.pvfs_client.io_retries = 1;
+    core::fail_fast_on_loss(cfg);
     cfg.faults.crash_service(kVictim, rpc::kNfsPort, kKillAt, sim::kNever);
     cfg.faults.crash_service(kVictim, rpc::kPvfsIoPort, kKillAt, sim::kNever);
   }

@@ -268,31 +268,6 @@ int main(int argc, char** argv) {
         return {0u, core::kMdsPort};
     }
   };
-  // Recovery knobs for faults the run is expected to ride out: deadlines,
-  // retries that outlast a crash window, an MDS grace period, and — on
-  // Direct-pNFS — no MDS write fallback (the data server and the PVFS
-  // daemon share the node's object store, so proxying writes around a
-  // restarting DS would dodge the very state loss being tested; see
-  // docs/failures.md).
-  auto enable_restart_recovery = [&cfg] {
-    // The retry budget must outlast back-to-back crash windows (the chaos
-    // schedule can hit the same service repeatedly), not just one outage.
-    cfg.nfs_client.ds_timeout = sim::ms(250);
-    cfg.nfs_client.ds_rpc_retries = 8;
-    cfg.nfs_client.slice_retries = 4;
-    cfg.nfs_client.breaker_threshold = 4;
-    cfg.nfs_client.breaker_reset = sim::ms(500);
-    cfg.nfs_client.mds_timeout = sim::ms(500);
-    cfg.mds_grace_period = sim::ms(200);
-    cfg.pvfs_client.io_timeout = sim::ms(250);
-    cfg.pvfs_client.io_retries = 10;
-    cfg.pvfs_client.meta_timeout = sim::ms(500);
-    cfg.pvfs_client.meta_retries = 6;
-    if (cfg.architecture == core::Architecture::kDirectPnfs) {
-      cfg.nfs_client.mds_fallback = false;
-    }
-  };
-
   const int fault_restart =
       std::atoi(arg_value(argc, argv, "--fault-ds-restart", "-1"));
   if (fault_restart >= 0) {
@@ -303,7 +278,8 @@ int main(int argc, char** argv) {
     const sim::Time revive = revive_ms > 0 ? sim::ms(revive_ms) : at + sim::ms(500);
     const auto [node, port] = ds_target(static_cast<uint32_t>(fault_restart));
     cfg.faults.crash_service(node, port, at, revive);
-    enable_restart_recovery();
+    core::ride_out_restarts(cfg);
+    cfg.mds_grace_period = sim::ms(200);
   }
 
   // Permanent data-server loss: both daemons on the node die for good;
@@ -319,19 +295,12 @@ int main(int argc, char** argv) {
     if (port != rpc::kPvfsIoPort) {
       cfg.faults.crash_service(node, rpc::kPvfsIoPort, at, sim::kNever);
     }
-    enable_restart_recovery();
-    // The node is never coming back: meta-side size gathers must fast-fail
-    // on the dead daemon (redundant kinds tolerate the miss) instead of
-    // burning a restart-sized retry budget inside every MDS attribute call.
-    cfg.pvfs_client.io_timeout = sim::ms(200);
-    cfg.pvfs_client.io_retries = 1;
-    cfg.nfs_client.mds_timeout = sim::ms(3000);
-    // A tripped breaker should stay open: half-open probes against a node
-    // that is never coming back just re-burn the retry ladder.
-    cfg.nfs_client.ds_rpc_retries = 2;
-    cfg.nfs_client.slice_retries = 1;
-    cfg.nfs_client.breaker_threshold = 2;
-    cfg.nfs_client.breaker_reset = sim::sec(600);
+    // The restart posture covers the MDS and PVFS meta path; the loss
+    // posture then tightens everything that would keep probing the dead
+    // node.
+    core::ride_out_restarts(cfg);
+    cfg.mds_grace_period = sim::ms(200);
+    core::fail_fast_on_loss(cfg);
     if (cfg.spare_nodes > 0) {
       cfg.rebuild_enabled = true;
       cfg.rebuild.dead_threshold = sim::ms(
@@ -361,7 +330,8 @@ int main(int argc, char** argv) {
     const auto [mds_node, mds_port] = mds_target();
     const sim::Time mds_at = sim::ms(500 + static_cast<int64_t>(next() % 1500));
     cfg.faults.crash_service(mds_node, mds_port, mds_at, mds_at + sim::ms(300));
-    enable_restart_recovery();
+    core::ride_out_restarts(cfg);
+    cfg.mds_grace_period = sim::ms(200);
   }
 
   core::Deployment d(cfg);

@@ -13,6 +13,33 @@ namespace dpnfs::core {
 
 using sim::Task;
 
+void ride_out_restarts(ClusterConfig& cfg) {
+  cfg.nfs_client.ds_timeout = sim::ms(250);
+  cfg.nfs_client.ds_rpc_retries = 8;
+  cfg.nfs_client.slice_retries = 4;
+  cfg.nfs_client.breaker_threshold = 4;
+  cfg.nfs_client.breaker_reset = sim::ms(500);
+  cfg.nfs_client.mds_timeout = sim::ms(500);
+  cfg.pvfs_client.io_timeout = sim::ms(250);
+  cfg.pvfs_client.io_retries = 10;
+  cfg.pvfs_client.meta_timeout = sim::ms(500);
+  cfg.pvfs_client.meta_retries = 6;
+  if (cfg.architecture == Architecture::kDirectPnfs) {
+    cfg.nfs_client.mds_fallback = false;
+  }
+}
+
+void fail_fast_on_loss(ClusterConfig& cfg) {
+  cfg.nfs_client.ds_timeout = sim::ms(200);
+  cfg.nfs_client.ds_rpc_retries = 2;
+  cfg.nfs_client.slice_retries = 1;
+  cfg.nfs_client.breaker_threshold = 2;
+  cfg.nfs_client.breaker_reset = sim::sec(600);
+  cfg.nfs_client.mds_timeout = sim::ms(3000);
+  cfg.pvfs_client.io_timeout = sim::ms(200);
+  cfg.pvfs_client.io_retries = 1;
+}
+
 const char* architecture_name(Architecture a) {
   switch (a) {
     case Architecture::kDirectPnfs: return "Direct-pNFS";

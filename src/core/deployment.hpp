@@ -193,6 +193,25 @@ struct ClusterConfig {
   pvfs::PvfsClientConfig pvfs_client{};
 };
 
+// Recovery postures (docs/failures.md): the client deadline and retry knobs
+// for the two kinds of fault a run is set up to survive.  Each overwrites
+// only the knobs it names; apply the architecture first.
+
+/// Rides out service restarts: deadlines, retry budgets that outlast
+/// back-to-back crash windows, a breaker that re-probes quickly, an MDS
+/// deadline so sessions can give up on a dead incarnation — and, on
+/// Direct-pNFS, no MDS fallback (the data server and the PVFS daemon share
+/// the node's object store, so proxying writes around a restarting DS would
+/// dodge the very state loss being tested).  The MDS grace period is the
+/// caller's to set.
+void ride_out_restarts(ClusterConfig& cfg);
+
+/// Fails fast on a node that is never coming back: bounded deadlines, a
+/// hair-trigger breaker that stays open, and meta-side size gathers that
+/// give up on the dead daemon (redundant layouts tolerate the miss) instead
+/// of burning a restart-sized retry budget inside every MDS call.
+void fail_fast_on_loss(ClusterConfig& cfg);
+
 /// One assembled cluster: simulation, nodes, servers, and per-client-node
 /// FileSystemClient handles.
 class Deployment {

@@ -36,22 +36,14 @@ RebuildManager::RebuildManager(rpc::RpcFabric& fabric, sim::Node& node,
       config_(config),
       rpc_(fabric, node, "rebuild@SIM"),
       down_since_(storage_.size(), sim::kNever) {
-  if (obs::MetricsRegistry* reg = fabric.metrics()) {
-    const std::string& n = node.name();
-    m_declared_dead_ = &reg->counter(n, "mds.rebuild", "dses_declared_dead");
-    m_started_ = &reg->counter(n, "mds.rebuild", "rebuilds_started");
-    m_completed_ = &reg->counter(n, "mds.rebuild", "rebuilds_completed");
-    m_objects_ = &reg->counter(n, "mds.rebuild", "objects_rebuilt");
-    m_bytes_ = &reg->counter(n, "mds.rebuild", "bytes_rebuilt");
-    m_failed_ = &reg->counter(n, "mds.rebuild", "objects_failed");
-  } else {
-    m_declared_dead_ = &obs::MetricsRegistry::null_counter();
-    m_started_ = &obs::MetricsRegistry::null_counter();
-    m_completed_ = &obs::MetricsRegistry::null_counter();
-    m_objects_ = &obs::MetricsRegistry::null_counter();
-    m_bytes_ = &obs::MetricsRegistry::null_counter();
-    m_failed_ = &obs::MetricsRegistry::null_counter();
-  }
+  obs::MetricsRegistry& reg = fabric.metrics();
+  const std::string& n = node.name();
+  m_declared_dead_ = &reg.counter(n, "mds.rebuild", "dses_declared_dead");
+  m_started_ = &reg.counter(n, "mds.rebuild", "rebuilds_started");
+  m_completed_ = &reg.counter(n, "mds.rebuild", "rebuilds_completed");
+  m_objects_ = &reg.counter(n, "mds.rebuild", "objects_rebuilt");
+  m_bytes_ = &reg.counter(n, "mds.rebuild", "bytes_rebuilt");
+  m_failed_ = &reg.counter(n, "mds.rebuild", "objects_failed");
 }
 
 RebuildManager::~RebuildManager() { stop_ = true; }

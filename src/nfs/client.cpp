@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdarg>
 
 #include "nfs/compound_reply.hpp"
 #include "util/format.hpp"
@@ -18,8 +19,28 @@ namespace {
 constexpr uint32_t kNfsVersion = 4;
 constexpr uint16_t kBackchannelPortBase = 4044;
 
+/// Slots this client asks for in CREATE_SESSION.
+constexpr uint32_t kSessionSlots = 64;
+
 uint64_t round_down(uint64_t v, uint64_t m) { return v / m * m; }
 uint64_t round_up(uint64_t v, uint64_t m) { return (v + m - 1) / m * m; }
+
+/// Counts one event (or `n` units) in a ClientStats field and its exported
+/// counter alike.
+void tally(uint64_t& stat, obs::Counter* counter, uint64_t n = 1) {
+  stat += n;
+  counter->add(n);
+}
+
+/// Pads a short READ with `missing` zero bytes: a hole at end-of-file reads
+/// as zeros.  Virtual content stays virtual.
+void zero_fill(Payload& p, uint64_t missing) {
+  if (p.size() == 0 || p.is_inline()) {
+    p.append(Payload::inline_bytes(std::vector<std::byte>(missing, std::byte{0})));
+  } else {
+    p.append(Payload::virtual_bytes(missing));
+  }
+}
 
 /// Splits "/a/b/c" into ("/a/b", "c").  The parent of "/x" is "/".
 std::pair<std::string, std::string> split_parent(const std::string& path) {
@@ -60,82 +81,47 @@ NfsClient::NfsClient(rpc::RpcFabric& fabric, sim::Node& node,
     aggregations_ = std::make_shared<const AggregationRegistry>(
         AggregationRegistry::with_standard_drivers());
   }
-  if (obs::MetricsRegistry* reg = fabric.metrics()) {
-    const std::string& n = node.name();
-    m_hit_bytes_ = &reg->counter(n, "client.cache", "hit_bytes");
-    m_miss_bytes_ = &reg->counter(n, "client.cache", "miss_bytes");
-    m_read_bytes_ = &reg->counter(n, "client.cache", "read_bytes");
-    m_write_bytes_ = &reg->counter(n, "client.cache", "write_bytes");
-    m_readahead_fetches_ =
-        &reg->counter(n, "client.cache", "readahead_fetches");
-    m_rpcs_ = &reg->counter(n, "client.cache", "rpcs");
-    m_sched_writes_ = &reg->counter(n, "client.sched", "dispatched_writes");
-    m_sched_bytes_ = &reg->counter(n, "client.sched", "dispatched_bytes");
-    m_sched_coalesced_extents_ =
-        &reg->counter(n, "client.sched", "coalesced_extents");
-    m_sched_coalesced_bytes_ =
-        &reg->counter(n, "client.sched", "coalesced_bytes");
-    m_vectored_writes_ = &reg->counter(n, "client.sched", "vectored_writes");
-    m_vectored_regions_ = &reg->counter(n, "client.sched", "vectored_regions");
-    m_vectored_bytes_ = &reg->counter(n, "client.sched", "vectored_bytes");
-    m_retries_ = &reg->counter(n, "client.recovery", "retries");
-    m_fallbacks_ = &reg->counter(n, "client.recovery", "fallbacks");
-    m_breaker_trips_ = &reg->counter(n, "client.recovery", "breaker_trips");
-    m_layout_refetches_ =
-        &reg->counter(n, "client.recovery", "layout_refetches");
-    m_rpc_retries_ = &reg->counter(n, "client.recovery", "rpc_retries");
-    m_verifier_mismatches_ =
-        &reg->counter(n, "client.replay", "verifier_mismatches");
-    m_replayed_extents_ = &reg->counter(n, "client.replay", "replayed_extents");
-    m_replayed_bytes_ = &reg->counter(n, "client.replay", "replayed_bytes");
-    m_session_recoveries_ =
-        &reg->counter(n, "client.replay", "session_recoveries");
-    m_replica_reroutes_ =
-        &reg->counter(n, "client.redundancy", "replica_reroutes");
-    m_degraded_reads_ = &reg->counter(n, "client.redundancy", "degraded_reads");
-    m_degraded_read_bytes_ =
-        &reg->counter(n, "client.redundancy", "degraded_read_bytes");
-    m_ec_reconstructions_ =
-        &reg->counter(n, "client.redundancy", "ec_reconstructions");
-    m_degraded_writes_ =
-        &reg->counter(n, "client.redundancy", "degraded_writes");
-    m_degraded_commits_ =
-        &reg->counter(n, "client.redundancy", "degraded_commits");
-  } else {
-    m_hit_bytes_ = &obs::MetricsRegistry::null_counter();
-    m_miss_bytes_ = &obs::MetricsRegistry::null_counter();
-    m_read_bytes_ = &obs::MetricsRegistry::null_counter();
-    m_write_bytes_ = &obs::MetricsRegistry::null_counter();
-    m_readahead_fetches_ = &obs::MetricsRegistry::null_counter();
-    m_rpcs_ = &obs::MetricsRegistry::null_counter();
-    m_sched_writes_ = &obs::MetricsRegistry::null_counter();
-    m_sched_bytes_ = &obs::MetricsRegistry::null_counter();
-    m_sched_coalesced_extents_ = &obs::MetricsRegistry::null_counter();
-    m_sched_coalesced_bytes_ = &obs::MetricsRegistry::null_counter();
-    m_vectored_writes_ = &obs::MetricsRegistry::null_counter();
-    m_vectored_regions_ = &obs::MetricsRegistry::null_counter();
-    m_vectored_bytes_ = &obs::MetricsRegistry::null_counter();
-    m_retries_ = &obs::MetricsRegistry::null_counter();
-    m_fallbacks_ = &obs::MetricsRegistry::null_counter();
-    m_breaker_trips_ = &obs::MetricsRegistry::null_counter();
-    m_layout_refetches_ = &obs::MetricsRegistry::null_counter();
-    m_rpc_retries_ = &obs::MetricsRegistry::null_counter();
-    m_verifier_mismatches_ = &obs::MetricsRegistry::null_counter();
-    m_replayed_extents_ = &obs::MetricsRegistry::null_counter();
-    m_replayed_bytes_ = &obs::MetricsRegistry::null_counter();
-    m_session_recoveries_ = &obs::MetricsRegistry::null_counter();
-    m_replica_reroutes_ = &obs::MetricsRegistry::null_counter();
-    m_degraded_reads_ = &obs::MetricsRegistry::null_counter();
-    m_degraded_read_bytes_ = &obs::MetricsRegistry::null_counter();
-    m_ec_reconstructions_ = &obs::MetricsRegistry::null_counter();
-    m_degraded_writes_ = &obs::MetricsRegistry::null_counter();
-    m_degraded_commits_ = &obs::MetricsRegistry::null_counter();
-  }
+  obs::MetricsRegistry& reg = fabric.metrics();
+  const std::string& n = node.name();
+  m_hit_bytes_ = &reg.counter(n, "client.cache", "hit_bytes");
+  m_miss_bytes_ = &reg.counter(n, "client.cache", "miss_bytes");
+  m_read_bytes_ = &reg.counter(n, "client.cache", "read_bytes");
+  m_write_bytes_ = &reg.counter(n, "client.cache", "write_bytes");
+  m_readahead_fetches_ = &reg.counter(n, "client.cache", "readahead_fetches");
+  m_rpcs_ = &reg.counter(n, "client.cache", "rpcs");
+  m_sched_writes_ = &reg.counter(n, "client.sched", "dispatched_writes");
+  m_sched_bytes_ = &reg.counter(n, "client.sched", "dispatched_bytes");
+  m_sched_coalesced_extents_ =
+      &reg.counter(n, "client.sched", "coalesced_extents");
+  m_sched_coalesced_bytes_ = &reg.counter(n, "client.sched", "coalesced_bytes");
+  m_vectored_writes_ = &reg.counter(n, "client.sched", "vectored_writes");
+  m_vectored_regions_ = &reg.counter(n, "client.sched", "vectored_regions");
+  m_vectored_bytes_ = &reg.counter(n, "client.sched", "vectored_bytes");
+  m_retries_ = &reg.counter(n, "client.recovery", "retries");
+  m_fallbacks_ = &reg.counter(n, "client.recovery", "fallbacks");
+  m_breaker_trips_ = &reg.counter(n, "client.recovery", "breaker_trips");
+  m_layout_refetches_ = &reg.counter(n, "client.recovery", "layout_refetches");
+  m_rpc_retries_ = &reg.counter(n, "client.recovery", "rpc_retries");
+  m_verifier_mismatches_ =
+      &reg.counter(n, "client.replay", "verifier_mismatches");
+  m_replayed_extents_ = &reg.counter(n, "client.replay", "replayed_extents");
+  m_replayed_bytes_ = &reg.counter(n, "client.replay", "replayed_bytes");
+  m_session_recoveries_ =
+      &reg.counter(n, "client.replay", "session_recoveries");
+  m_replica_reroutes_ =
+      &reg.counter(n, "client.redundancy", "replica_reroutes");
+  m_degraded_reads_ = &reg.counter(n, "client.redundancy", "degraded_reads");
+  m_degraded_read_bytes_ =
+      &reg.counter(n, "client.redundancy", "degraded_read_bytes");
+  m_ec_reconstructions_ =
+      &reg.counter(n, "client.redundancy", "ec_reconstructions");
+  m_degraded_writes_ = &reg.counter(n, "client.redundancy", "degraded_writes");
+  m_degraded_commits_ =
+      &reg.counter(n, "client.redundancy", "degraded_commits");
   // Transport-level retries surface under this client's recovery component.
   rpc_.set_retry_counter(m_rpc_retries_);
   tracer_ = fabric.tracer();
-  tx_gate_ = std::make_unique<sim::Semaphore>(
-      fabric.simulation(), std::max<uint32_t>(1, config_.wb_wire_tokens));
+  tx_gate_ = std::make_unique<sim::Semaphore>(fabric.simulation(), 1);
 }
 
 NfsClient::~NfsClient() = default;
@@ -164,8 +150,7 @@ Task<std::shared_ptr<NfsClient::Session>> NfsClient::session_for(
       auto raw = co_await rpc_.call(addr, rpc::Program::kNfs, kNfsVersion,
                                     kProcCompound, std::move(b).finish(),
                                     call_options(addr));
-      ++stats_.rpcs;
-      m_rpcs_->inc();
+      tally(stats_.rpcs, m_rpcs_);
       CompoundReply r1(std::move(raw));
       const auto eid = r1.expect<ExchangeIdRes>(OpCode::kExchangeId);
 
@@ -178,12 +163,11 @@ Task<std::shared_ptr<NfsClient::Session>> NfsClient::session_for(
       }
       CompoundBuilder b2;
       b2.add(OpCode::kCreateSession,
-             CreateSessionArgs{eid.client_id, config_.session_slots, cb_port});
+             CreateSessionArgs{eid.client_id, kSessionSlots, cb_port});
       auto raw2 = co_await rpc_.call(addr, rpc::Program::kNfs, kNfsVersion,
                                      kProcCompound, std::move(b2).finish(),
                                      call_options(addr));
-      ++stats_.rpcs;
-      m_rpcs_->inc();
+      tally(stats_.rpcs, m_rpcs_);
       CompoundReply r2(std::move(raw2));
       const auto cs = r2.expect<CreateSessionRes>(OpCode::kCreateSession);
 
@@ -249,8 +233,7 @@ void NfsClient::session_lost(const rpc::RpcAddress& addr,
       it != sessions_.end() && it->second->id == sid) {
     sessions_.erase(it);
   }
-  ++stats_.session_recoveries;
-  m_session_recoveries_->inc();
+  tally(stats_.session_recoveries, m_session_recoveries_);
   if (addr == mds_) {
     // The MDS restarted: layouts and open stateids it granted died with it.
     // Layouts are re-fetched once per file at the next data-path entry;
@@ -267,14 +250,20 @@ void NfsClient::session_lost(const rpc::RpcAddress& addr,
              "re-establishing",
              static_cast<unsigned long long>(sid.id), addr.node_id,
              static_cast<unsigned>(addr.port));
-  if (obs::FlightRecorder* flight = fabric_.flight()) {
-    flight->record(fabric_.simulation().now(), node_.name(), "nfs.client",
-                   "session.lost",
-                   util::sformat("session %llu node %u port %u",
-                                 static_cast<unsigned long long>(sid.id),
-                                 addr.node_id,
-                                 static_cast<unsigned>(addr.port)));
-  }
+  note_flight("session.lost", "session %llu node %u port %u",
+              static_cast<unsigned long long>(sid.id), addr.node_id,
+              static_cast<unsigned>(addr.port));
+}
+
+void NfsClient::note_flight(const char* kind, const char* fmt, ...) {
+  obs::FlightRecorder* flight = fabric_.flight();
+  if (flight == nullptr) return;
+  va_list args;
+  va_start(args, fmt);
+  const std::string detail = util::vsformat(fmt, args);
+  va_end(args);
+  flight->record(fabric_.simulation().now(), node_.name(), "nfs.client", kind,
+                 detail);
 }
 
 Task<rpc::RpcClient::Reply> NfsClient::call(rpc::RpcAddress addr,
@@ -299,8 +288,7 @@ Task<rpc::RpcClient::Reply> NfsClient::call(rpc::RpcAddress addr,
                      static_cast<sim::Duration>(config_.cpu_ns_per_byte *
                                                 static_cast<double>(data_bytes));
     co_await node_.cpu().execute(cpu);
-    ++stats_.rpcs;
-    m_rpcs_->inc();
+    tally(stats_.rpcs, m_rpcs_);
     rpc::CallOptions opts = call_options(addr);
     opts.parent = trace_parent;
     auto reply = co_await rpc_.call(addr, rpc::Program::kNfs, kNfsVersion,
@@ -505,17 +493,15 @@ Task<void> NfsClient::truncate(const std::string& path, uint64_t size) {
     if (!(state->fh == fh)) continue;
     if (size < state->size) {
       const uint64_t valid_before = state->valid.total_length();
-      const uint64_t dirty_before = state->dirty.total_length();
       state->valid.subtract(size, ~0ull);
-      state->dirty.subtract(size, ~0ull);
+      claim_dirty(*state, size, ~0ull);
       state->content.drop(size, ~0ull);
       // Truncated bytes need no replay either.
       for (auto& [idx, t] : state->commit_targets) {
         t.uncommitted.subtract(size, ~0ull);
       }
-      account_valid_delta(*state, -static_cast<int64_t>(
-                                      valid_before - state->valid.total_length()));
-      dirty_bytes_ -= dirty_before - state->dirty.total_length();
+      account_valid_delta(
+          -static_cast<int64_t>(valid_before - state->valid.total_length()));
     }
     state->size = size;
     break;
@@ -600,6 +586,13 @@ Task<Fattr> NfsClient::stat(const std::string& path) {
 // Open / close
 // ---------------------------------------------------------------------------
 
+bool NfsClient::layout_usable(const FileLayout& l) const {
+  // Usable only when the aggregation scheme and every device are known.
+  bool ok = l.valid() && aggregations_->find(l.aggregation) != nullptr;
+  for (const auto& d : l.devices) ok = ok && devices_.contains(d);
+  return ok;
+}
+
 Task<NfsClient::FilePtr> NfsClient::open(const std::string& path, bool create,
                                          bool read_only) {
   // Delegation fast path: a held read delegation makes re-opens purely
@@ -640,11 +633,7 @@ Task<NfsClient::FilePtr> NfsClient::open(const std::string& path, bool create,
   std::optional<FileLayout> layout;
   if (config_.pnfs_enabled && r.try_next(OpCode::kLayoutGet) == Status::kOk) {
     FileLayout l = LayoutGetRes::decode(r.dec()).layout;
-    // Usable only when the aggregation scheme and every device are known.
-    const bool driver_ok = aggregations_->find(l.aggregation) != nullptr;
-    bool devices_ok = l.valid();
-    for (const auto& d : l.devices) devices_ok &= devices_.contains(d);
-    if (driver_ok && devices_ok) {
+    if (layout_usable(l)) {
       layout = std::move(l);
     } else {
       util::logf(util::LogLevel::kWarn, "nfs.client",
@@ -696,7 +685,7 @@ bool NfsClient::file_has_delegation(const FilePtr& file) const {
 }
 
 Task<void> NfsClient::close(FilePtr file) {
-  if (config_.commit_on_close) co_await fsync(file);
+  co_await fsync(file);
 
   if (file->open_count > 0) --file->open_count;
   // Delegation-elided opens have no server stateid; send CLOSE only while
@@ -746,8 +735,8 @@ void NfsClient::invalidate_clean(FileState& st) {
   // Pinned ranges (dirty + retained uncommitted writes) survive: dropping a
   // retained range would discard the only copy a restart replay needs.
   const util::IntervalSet pin = st.pinned();
-  account_valid_delta(st, -static_cast<int64_t>(st.valid.total_length() -
-                                                pin.total_length()));
+  account_valid_delta(
+      -static_cast<int64_t>(st.valid.total_length() - pin.total_length()));
   for (const auto& iv : st.valid.intervals()) {
     for (const auto& clean : pin.gaps(iv.start, iv.end)) {
       st.content.drop(clean.start, clean.end);
@@ -762,21 +751,13 @@ uint64_t NfsClient::file_size(const FilePtr& file) const { return file->size; }
 void NfsClient::drop_caches() {
   for (auto it = files_.begin(); it != files_.end();) {
     FileState& st = *it->second;
-    const util::IntervalSet pin = st.pinned();
-    if (st.open_count == 0 && pin.empty()) {
-      account_valid_delta(st, -static_cast<int64_t>(st.valid.total_length()));
+    if (st.open_count == 0 && st.pinned().empty()) {
+      account_valid_delta(-static_cast<int64_t>(st.valid.total_length()));
       dirty_bytes_ -= st.dirty.total_length();
       it = files_.erase(it);
       continue;
     }
-    for (const auto& iv : st.valid.intervals()) {
-      for (const auto& clean : pin.gaps(iv.start, iv.end)) {
-        st.content.drop(clean.start, clean.end);
-        account_valid_delta(st, -static_cast<int64_t>(clean.length()));
-      }
-    }
-    st.valid = pin;
-    st.readahead_high = 0;
+    drop_clean(st);
     ++it;
   }
 }
@@ -804,6 +785,21 @@ NfsClient::IoSlice NfsClient::mds_slice(const FileState& f, uint64_t offset,
   return slice;
 }
 
+NfsClient::IoSlice NfsClient::device_slice(const FileState& f, size_t dev,
+                                           uint64_t target_offset,
+                                           uint64_t file_offset,
+                                           uint64_t length) const {
+  IoSlice slice;
+  slice.device_index = dev;
+  slice.addr = devices_.at(f.layout->devices[dev]);
+  slice.fh = f.layout->fhs[dev];
+  slice.stateid = kDataServerStateid;
+  slice.target_offset = target_offset;
+  slice.file_offset = file_offset;
+  slice.length = length;
+  return slice;
+}
+
 std::vector<NfsClient::IoSlice> NfsClient::route(FileState& f, uint64_t offset,
                                                  uint64_t length,
                                                  bool for_write) {
@@ -817,49 +813,36 @@ std::vector<NfsClient::IoSlice> NfsClient::route(FileState& f, uint64_t offset,
     out.reserve(segments.size());
     const bool redundant = redundant_aggregation(f.layout->aggregation);
     for (const auto& seg : segments) {
-      IoSlice slice;
-      slice.device_index = seg.device_index;
-      slice.addr = devices_.at(f.layout->devices[seg.device_index]);
-      slice.fh = f.layout->fhs[seg.device_index];
-      slice.stateid = kDataServerStateid;
-      slice.target_offset = seg.dev_offset;
-      slice.file_offset = seg.file_offset;
-      slice.length = seg.length;
+      const uint64_t end = seg.file_offset + seg.length;
+      IoSlice slice = device_slice(f, seg.device_index, seg.dev_offset,
+                                   seg.file_offset, seg.length);
       slice.parity = seg.parity;
       if (!for_write && redundant &&
-          device_unhealthy(f, seg.device_index, seg.file_offset,
-                           seg.file_offset + seg.length)) {
+          device_unhealthy(f, seg.device_index, seg.file_offset, end)) {
         // Health-aware replica selection: route the read to a surviving
         // copy up front instead of burning retries on a sick device.
         // Erasure-coded layouts have no same-bytes replica; their slices go
-        // out unchanged and reconstruct in run_read_slice's degraded rung.
-        if (remap_replica(f, slice, seg.device_index)) {
-          ++stats_.replica_reroutes;
-          m_replica_reroutes_->inc();
+        // out unchanged and reconstruct in the ladder's redundant rung.
+        size_t step = 1;
+        const size_t alt =
+            next_replica(f, seg.device_index, &step, seg.file_offset, end);
+        if (alt != IoSlice::kMds) {
+          slice = device_slice(f, alt, seg.dev_offset, seg.file_offset,
+                               seg.length);
+          tally(stats_.replica_reroutes, m_replica_reroutes_);
         }
-        out.push_back(slice);
-        continue;
-      }
-      if (config_.mds_fallback && !redundant && !slice.parity &&
-          breaker_open(slice.addr)) {
+      } else if (config_.mds_fallback && !redundant && !slice.parity &&
+                 breaker_open(slice.addr)) {
         // Open breaker: don't even try the sick DS, proxy through the MDS.
         // Redundant layouts never take this path — their surviving copies
         // or parity serve the bytes via the degraded rungs instead.
         slice = mds_slice(f, seg.file_offset, seg.length);
-        ++stats_.mds_fallbacks;
-        m_fallbacks_->inc();
-        if (obs::FlightRecorder* flight = fabric_.flight()) {
-          flight->record(fabric_.simulation().now(), node_.name(),
-                         "nfs.client", "mds.fallback",
-                         util::sformat("fileid %llu dev %zu %llu+%llu",
-                                       static_cast<unsigned long long>(
-                                           f.attr.fileid),
-                                       seg.device_index,
-                                       static_cast<unsigned long long>(
-                                           seg.file_offset),
-                                       static_cast<unsigned long long>(
-                                           seg.length)));
-        }
+        tally(stats_.mds_fallbacks, m_fallbacks_);
+        note_flight("mds.fallback", "fileid %llu dev %zu %llu+%llu",
+                    static_cast<unsigned long long>(f.attr.fileid),
+                    seg.device_index,
+                    static_cast<unsigned long long>(seg.file_offset),
+                    static_cast<unsigned long long>(seg.length));
       }
       out.push_back(slice);
     }
@@ -889,19 +872,13 @@ void NfsClient::record_ds_result(const rpc::RpcAddress& addr, bool ok) {
   ++h.consecutive_failures;
   if (h.consecutive_failures == config_.breaker_threshold) {
     h.open_until = fabric_.simulation().now() + config_.breaker_reset;
-    ++stats_.breaker_trips;
-    m_breaker_trips_->inc();
+    tally(stats_.breaker_trips, m_breaker_trips_);
     util::logf(util::LogLevel::kWarn, "nfs.client", fabric_.simulation().now(),
                "circuit breaker opened for DS node %u port %u",
                addr.node_id, static_cast<unsigned>(addr.port));
-    if (obs::FlightRecorder* flight = fabric_.flight()) {
-      flight->record(fabric_.simulation().now(), node_.name(), "nfs.client",
-                     "breaker.trip",
-                     util::sformat("ds node %u port %u until %lld ns",
-                                   addr.node_id,
-                                   static_cast<unsigned>(addr.port),
-                                   static_cast<long long>(h.open_until)));
-    }
+    note_flight("breaker.trip", "ds node %u port %u until %lld ns",
+                addr.node_id, static_cast<unsigned>(addr.port),
+                static_cast<long long>(h.open_until));
   }
 }
 
@@ -913,15 +890,10 @@ Task<void> NfsClient::refetch_layout(FileState& f, bool force) {
     co_return;  // refreshed recently; don't hammer the MDS per failed slice
   }
   f.layout_refetched_at = now;
-  ++stats_.layout_refetches;
-  m_layout_refetches_->inc();
-  if (obs::FlightRecorder* flight = fabric_.flight()) {
-    flight->record(now, node_.name(), "nfs.client", "layout.refetch",
-                   util::sformat("fileid %llu%s",
-                                 static_cast<unsigned long long>(
-                                     f.attr.fileid),
-                                 force ? " forced" : ""));
-  }
+  tally(stats_.layout_refetches, m_layout_refetches_);
+  note_flight("layout.refetch", "fileid %llu%s",
+              static_cast<unsigned long long>(f.attr.fileid),
+              force ? " forced" : "");
   try {
     auto s = co_await session_for(mds_);
     CompoundBuilder b = with_sequence(s->id);
@@ -933,10 +905,7 @@ Task<void> NfsClient::refetch_layout(FileState& f, bool force) {
     r.expect(OpCode::kPutFh);
     if (r.try_next(OpCode::kLayoutGet) == Status::kOk) {
       FileLayout l = LayoutGetRes::decode(r.dec()).layout;
-      const bool driver_ok = aggregations_->find(l.aggregation) != nullptr;
-      bool devices_ok = l.valid();
-      for (const auto& d : l.devices) devices_ok &= devices_.contains(d);
-      if (driver_ok && devices_ok) f.layout = std::move(l);
+      if (layout_usable(l)) f.layout = std::move(l);
     }
   } catch (const NfsError&) {
     // Keep the stale layout; per-slice fallback still makes progress.
@@ -970,23 +939,18 @@ void NfsClient::note_unstable_write(FileState& f, const IoSlice& slice,
 
 void NfsClient::redirty_lost(FileState& f, size_t target) {
   auto it = f.commit_targets.find(target);
-  ++stats_.verifier_mismatches;
-  m_verifier_mismatches_->inc();
+  tally(stats_.verifier_mismatches, m_verifier_mismatches_);
   if (it == f.commit_targets.end() || it->second.uncommitted.empty()) return;
   uint64_t bytes = 0;
   uint64_t extents = 0;
   for (const auto& iv : it->second.uncommitted.intervals()) {
-    const uint64_t before = f.dirty.total_length();
-    f.dirty.add(iv.start, iv.end);
-    dirty_bytes_ += f.dirty.total_length() - before;
+    mark_dirty(f, iv.start, iv.end);
     bytes += iv.length();
     ++extents;
   }
   it->second.uncommitted.clear();
-  stats_.replayed_extents += extents;
-  stats_.replayed_bytes += bytes;
-  m_replayed_extents_->add(extents);
-  m_replayed_bytes_->add(bytes);
+  tally(stats_.replayed_extents, m_replayed_extents_, extents);
+  tally(stats_.replayed_bytes, m_replayed_bytes_, bytes);
   if (tracer_ != nullptr && tracer_->enabled()) {
     obs::TraceContext ctx = tracer_->begin({});
     obs::Span span;
@@ -1002,18 +966,11 @@ void NfsClient::redirty_lost(FileState& f, size_t target) {
     span.bytes_out = bytes;
     tracer_->record(std::move(span));
   }
-  if (obs::FlightRecorder* flight = fabric_.flight()) {
-    flight->record(fabric_.simulation().now(), node_.name(), "nfs.client",
-                   "wb.replay",
-                   util::sformat("fileid %llu target %lld %llu bytes "
-                                 "%llu extents",
-                                 static_cast<unsigned long long>(
-                                     f.attr.fileid),
-                                 static_cast<long long>(
-                                     static_cast<int64_t>(target)),
-                                 static_cast<unsigned long long>(bytes),
-                                 static_cast<unsigned long long>(extents)));
-  }
+  note_flight("wb.replay", "fileid %llu target %lld %llu bytes %llu extents",
+              static_cast<unsigned long long>(f.attr.fileid),
+              static_cast<long long>(static_cast<int64_t>(target)),
+              static_cast<unsigned long long>(bytes),
+              static_cast<unsigned long long>(extents));
   util::logf(util::LogLevel::kWarn, "nfs.client", fabric_.simulation().now(),
              "write verifier changed for fileid %llu target %lld: replaying "
              "%llu bytes in %llu extents",
@@ -1063,28 +1020,24 @@ bool NfsClient::device_unhealthy(const FileState& f, size_t device,
   return d != f.degraded.end() && d->second.intersects(start, end);
 }
 
-bool NfsClient::remap_replica(const FileState& f, IoSlice& slice,
-                              size_t avoid) const {
-  if (!f.layout) return false;
+size_t NfsClient::next_replica(const FileState& f, size_t home, size_t* step,
+                               uint64_t start, uint64_t end) const {
   size_t base = 0;
   size_t count = 0;
-  if (!replica_span(*f.layout, avoid, &base, &count)) return false;
-  // Rotate from the avoided device so concurrent degraded readers spread
-  // across the surviving copies.  Replicas hold the same bytes at the same
-  // device offset, so only the identity fields change.
-  for (size_t i = 1; i < count; ++i) {
-    const size_t cand = base + ((avoid - base) + i) % count;
-    if (cand >= f.layout->devices.size()) continue;
-    if (device_unhealthy(f, cand, slice.file_offset,
-                         slice.file_offset + slice.length)) {
-      continue;
-    }
-    slice.device_index = cand;
-    slice.addr = devices_.at(f.layout->devices[cand]);
-    slice.fh = f.layout->fhs[cand];
-    return true;
+  if (!f.layout || !replica_span(*f.layout, home, &base, &count)) {
+    return IoSlice::kMds;
   }
-  return false;
+  // Rotate from the home device so concurrent degraded readers spread
+  // across the surviving copies.  Replicas hold the same bytes at the same
+  // device offset.  Health is judged as the walk reaches each candidate.
+  while (*step < count) {
+    const size_t cand = base + ((home - base) + (*step)++) % count;
+    if (cand < f.layout->devices.size() &&
+        !device_unhealthy(f, cand, start, end)) {
+      return cand;
+    }
+  }
+  return IoSlice::kMds;
 }
 
 Task<bool> NfsClient::ec_reconstruct_block(FileState& f, const IoSlice& slice,
@@ -1108,16 +1061,11 @@ Task<bool> NfsClient::ec_reconstruct_block(FileState& f, const IoSlice& slice,
   for (size_t dev = 0; dev < n && have < geo->k; ++dev) {
     if (dev == want) continue;
     if (device_unhealthy(f, dev, grp_start, grp_end)) continue;
-    IoSlice sh;
-    sh.device_index = dev;
-    sh.addr = devices_.at(f.layout->devices[dev]);
-    sh.fh = f.layout->fhs[dev];
-    sh.stateid = kDataServerStateid;
-    sh.target_offset = grp * su;
-    sh.file_offset = dev < geo->k ? grp_start + dev * su : grp_start;
-    sh.length = su;
+    const IoSlice sh = device_slice(
+        f, dev, grp * su, dev < geo->k ? grp_start + dev * su : grp_start, su);
     try {
-      Payload p = co_await read_slice_op(f, sh);
+      Payload p;
+      co_await read_slice_op(sh, p);
       record_ds_result(sh.addr, true);
       const auto span = p.data();
       std::vector<std::byte> bytes(static_cast<size_t>(su), std::byte{0});
@@ -1134,8 +1082,7 @@ Task<bool> NfsClient::ec_reconstruct_block(FileState& f, const IoSlice& slice,
                        static_cast<uint32_t>(geo->m));
   if (!rs.reconstruct(&shards) || !shards[want]) co_return false;
   block = Payload::inline_bytes(std::move(*shards[want]));
-  ++stats_.ec_reconstructions;
-  m_ec_reconstructions_->inc();
+  tally(stats_.ec_reconstructions, m_ec_reconstructions_);
   co_return true;
 }
 
@@ -1167,22 +1114,16 @@ Task<bool> NfsClient::degraded_read(FileState& f, IoSlice slice, Payload& out) {
     out = std::move(assembled);
     served = true;
   } else {
-    size_t base = 0;
-    size_t count = 0;
-    if (!replica_span(*f.layout, home, &base, &count)) co_return false;
-    for (size_t i = 1; i < count && !served; ++i) {
-      const size_t cand = base + ((home - base) + i) % count;
-      if (cand >= f.layout->devices.size()) continue;
-      if (device_unhealthy(f, cand, slice.file_offset,
-                           slice.file_offset + slice.length)) {
-        continue;
-      }
-      IoSlice alt = slice;
-      alt.device_index = cand;
-      alt.addr = devices_.at(f.layout->devices[cand]);
-      alt.fh = f.layout->fhs[cand];
+    const uint64_t end = slice.file_offset + slice.length;
+    size_t step = 1;
+    while (!served) {
+      const size_t cand =
+          next_replica(f, home, &step, slice.file_offset, end);
+      if (cand == IoSlice::kMds) break;
+      const IoSlice alt = device_slice(f, cand, slice.target_offset,
+                                       slice.file_offset, slice.length);
       try {
-        out = co_await read_slice_op(f, alt);
+        co_await read_slice_op(alt, out);
         record_ds_result(alt.addr, true);
         served = true;
       } catch (const NfsError&) {
@@ -1191,49 +1132,36 @@ Task<bool> NfsClient::degraded_read(FileState& f, IoSlice slice, Payload& out) {
     }
   }
   if (!served) co_return false;
-  ++stats_.degraded_reads;
-  stats_.degraded_read_bytes += slice.length;
-  m_degraded_reads_->inc();
-  m_degraded_read_bytes_->add(slice.length);
-  if (obs::FlightRecorder* flight = fabric_.flight()) {
-    flight->record(fabric_.simulation().now(), node_.name(), "nfs.client",
-                   "degraded.read",
-                   util::sformat("fileid %llu dev %zu %llu+%llu",
-                                 static_cast<unsigned long long>(f.attr.fileid),
-                                 home,
-                                 static_cast<unsigned long long>(
-                                     slice.file_offset),
-                                 static_cast<unsigned long long>(
-                                     slice.length)));
-  }
+  tally(stats_.degraded_reads, m_degraded_reads_);
+  tally(stats_.degraded_read_bytes, m_degraded_read_bytes_, slice.length);
+  note_flight("degraded.read", "fileid %llu dev %zu %llu+%llu",
+              static_cast<unsigned long long>(f.attr.fileid), home,
+              static_cast<unsigned long long>(slice.file_offset),
+              static_cast<unsigned long long>(slice.length));
   co_return true;
 }
 
-void NfsClient::note_degraded_write(FileState& f, const IoSlice& slice) {
-  uint64_t end = slice.file_offset + slice.length;
+uint64_t NfsClient::covered_end(const FileState& f, const IoSlice& slice) {
+  uint64_t span = slice.length;
   if (slice.parity && f.layout) {
-    // A lost parity block degrades the whole stripe group it covers: any
-    // reconstruction sourcing this device over those file bytes would mix
-    // stale parity with fresh data.
-    if (const auto geo = EcGeometry::from(*f.layout)) {
-      end = slice.file_offset + slice.length * geo->k;
-    }
+    if (const auto geo = EcGeometry::from(*f.layout)) span *= geo->k;
   }
+  return slice.file_offset + span;
+}
+
+void NfsClient::note_degraded_write(FileState& f, const IoSlice& slice) {
+  // A lost parity block degrades the whole stripe group it covers: any
+  // reconstruction sourcing this device over those file bytes would mix
+  // stale parity with fresh data.
+  const uint64_t end = covered_end(f, slice);
   f.degraded[slice.device_index].add(slice.file_offset, end);
-  ++stats_.degraded_writes;
-  m_degraded_writes_->inc();
-  if (obs::FlightRecorder* flight = fabric_.flight()) {
-    flight->record(fabric_.simulation().now(), node_.name(), "nfs.client",
-                   "degraded.write",
-                   util::sformat("fileid %llu dev %zu %llu+%llu%s",
-                                 static_cast<unsigned long long>(f.attr.fileid),
-                                 slice.device_index,
-                                 static_cast<unsigned long long>(
-                                     slice.file_offset),
-                                 static_cast<unsigned long long>(
-                                     end - slice.file_offset),
-                                 slice.parity ? " parity" : ""));
-  }
+  tally(stats_.degraded_writes, m_degraded_writes_);
+  note_flight("degraded.write", "fileid %llu dev %zu %llu+%llu%s",
+              static_cast<unsigned long long>(f.attr.fileid),
+              slice.device_index,
+              static_cast<unsigned long long>(slice.file_offset),
+              static_cast<unsigned long long>(end - slice.file_offset),
+              slice.parity ? " parity" : "");
   util::logf(util::LogLevel::kWarn, "nfs.client", fabric_.simulation().now(),
              "degraded write: fileid %llu dev %zu [%llu, %llu) absorbed by "
              "surviving redundancy",
@@ -1243,21 +1171,33 @@ void NfsClient::note_degraded_write(FileState& f, const IoSlice& slice) {
              static_cast<unsigned long long>(end));
 }
 
-Task<Payload> NfsClient::read_slice_op(FileState& f, const IoSlice& slice) {
-  (void)f;
+void NfsClient::note_degraded_commit(FileState& f, size_t device_index) {
+  if (auto it = f.commit_targets.find(device_index);
+      it != f.commit_targets.end()) {
+    for (const auto& iv : it->second.uncommitted.intervals()) {
+      f.degraded[device_index].add(iv.start, iv.end);
+    }
+    f.commit_targets.erase(it);
+  }
+  tally(stats_.degraded_commits, m_degraded_commits_);
+  note_flight("degraded.commit", "fileid %llu dev %zu",
+              static_cast<unsigned long long>(f.attr.fileid), device_index);
+}
+
+Task<void> NfsClient::read_slice_op(const IoSlice& slice, Payload& out) {
   auto s = co_await session_for(slice.addr);
   // A short reply means one of two things, and they need opposite handling:
   // EOF on the stripe object (a hole — the missing tail genuinely reads as
   // zeros) vs. a mid-object short READ (the server returned fewer bytes than
   // exist — re-issue for the missing tail, never fabricate zeros).
-  Payload out;
+  Payload got;
   bool eof = false;
-  while (out.size() < slice.length && !eof) {
-    const uint64_t got = out.size();
-    const uint64_t want = slice.length - got;
+  while (got.size() < slice.length && !eof) {
+    const uint64_t want = slice.length - got.size();
     CompoundBuilder b = with_sequence(s->id);
     b.add(OpCode::kPutFh, PutFhArgs{slice.fh});
-    b.add(OpCode::kRead, ReadArgs{slice.stateid, slice.target_offset + got,
+    b.add(OpCode::kRead, ReadArgs{slice.stateid,
+                                  slice.target_offset + got.size(),
                                   static_cast<uint32_t>(want)});
     CompoundReply r(co_await call(slice.addr, std::move(b), want));
     r.expect(OpCode::kSequence);
@@ -1270,22 +1210,14 @@ Task<Payload> NfsClient::read_slice_op(FileState& f, const IoSlice& slice) {
       throw NfsError(Status::kIo, "zero-byte READ reply before EOF");
     }
     eof = res.eof;
-    out.append(std::move(res.data));
+    got.append(std::move(res.data));
   }
-  if (out.size() < slice.length) {
-    const uint64_t missing = slice.length - out.size();
-    if (out.size() == 0 || out.is_inline()) {
-      out.append(Payload::inline_bytes(
-          std::vector<std::byte>(missing, std::byte{0})));
-    } else {
-      out.append(Payload::virtual_bytes(missing));
-    }
-  }
-  co_return out;
+  if (got.size() < slice.length) zero_fill(got, slice.length - got.size());
+  out = std::move(got);
 }
 
-Task<std::vector<Payload>> NfsClient::read_vector_op(
-    FileState& f, const std::vector<IoSlice>& slices) {
+Task<void> NfsClient::read_vector_op(const std::vector<IoSlice>& slices,
+                                     std::vector<Payload>& out) {
   const IoSlice& first = slices.front();
   auto s = co_await session_for(first.addr);
   std::vector<IoRegion> regions;
@@ -1307,40 +1239,35 @@ Task<std::vector<Payload>> NfsClient::read_vector_op(
     throw NfsError(Status::kIo, "READV reply region count mismatch");
   }
   ++stats_.vectored_reads;
-  std::vector<Payload> out(slices.size());
+  std::vector<Payload> got(slices.size());
   uint64_t pos = 0;
   for (size_t i = 0; i < slices.size(); ++i) {
-    const uint64_t got = res.lengths[i];
-    if (got > slices[i].length) {
+    const uint64_t n = res.lengths[i];
+    if (n > slices[i].length) {
       throw NfsError(Status::kIo, "overlong READV region");
     }
-    out[i] = res.data.slice(pos, got);
-    pos += got;
-    if (got == slices[i].length) continue;
-    const uint64_t missing = slices[i].length - got;
+    got[i] = res.data.slice(pos, n);
+    pos += n;
+    if (n == slices[i].length) continue;
     if (res.eof && i + 1 == slices.size()) {
-      // Hole at end-of-file: the missing tail genuinely reads as zeros.
-      if (out[i].size() == 0 || out[i].is_inline()) {
-        out[i].append(Payload::inline_bytes(
-            std::vector<std::byte>(missing, std::byte{0})));
-      } else {
-        out[i].append(Payload::virtual_bytes(missing));
-      }
+      zero_fill(got[i], slices[i].length - n);
     } else {
       // Short region that is not the EOF tail: re-issue it alone —
       // read_slice_op distinguishes mid-object short READs from holes.
       IoSlice tail = slices[i];
-      tail.target_offset += got;
-      tail.file_offset += got;
-      tail.length = missing;
-      out[i].append(co_await read_slice_op(f, tail));
+      tail.target_offset += n;
+      tail.file_offset += n;
+      tail.length -= n;
+      Payload rest;
+      co_await read_slice_op(tail, rest);
+      got[i].append(std::move(rest));
     }
   }
-  co_return out;
+  out = std::move(got);
 }
 
 Task<void> NfsClient::write_vector_op(FileState& f,
-                                      const std::vector<IoSlice>& slices,
+                                      std::span<const IoSlice> slices,
                                       Payload data,
                                       obs::TraceContext trace_parent) {
   const IoSlice& first = slices.front();
@@ -1373,245 +1300,147 @@ Task<void> NfsClient::write_vector_op(FileState& f,
   }
 }
 
-Task<uint64_t> NfsClient::commit_op(rpc::RpcAddress addr, FileHandle fh) {
-  auto s = co_await session_for(addr);
+Task<void> NfsClient::commit_op(const IoSlice& target, uint64_t* verifier) {
+  auto s = co_await session_for(target.addr);
   CompoundBuilder b = with_sequence(s->id);
-  b.add(OpCode::kPutFh, PutFhArgs{fh});
+  b.add(OpCode::kPutFh, PutFhArgs{target.fh});
   b.add(OpCode::kCommit, CommitArgs{0, 0});
-  CompoundReply r(co_await call(addr, std::move(b), 0));
+  CompoundReply r(co_await call(target.addr, std::move(b), 0));
   r.expect(OpCode::kSequence);
   r.expect(OpCode::kPutFh);
-  co_return r.expect<CommitRes>(OpCode::kCommit).verifier;
+  const uint64_t v = r.expect<CommitRes>(OpCode::kCommit).verifier;
+  if (verifier != nullptr) *verifier = v;
 }
 
-Task<void> NfsClient::run_read_slice(FileState& f, IoSlice slice, Payload& out,
-                                     StatusCollector& errors) {
+template <typename Attempt, typename Redundant>
+Task<void> NfsClient::run_ladder(FileState& f, IoSlice slice,
+                                 StatusCollector& errors, Attempt attempt,
+                                 Redundant redundant, bool data_op) {
   const bool via_ds = slice.device_index != IoSlice::kMds;
-  const bool redundant =
+  const bool has_redundancy =
       via_ds && f.layout && redundant_aggregation(f.layout->aggregation);
   // Known-unhealthy home device (open breaker, or a degraded range a dead
   // incarnation never received): go straight to the surviving redundancy
   // instead of burning the retry budget.
-  if (redundant &&
+  if (data_op && has_redundancy &&
       device_unhealthy(f, slice.device_index, slice.file_offset,
                        slice.file_offset + slice.length) &&
-      co_await degraded_read(f, slice, out)) {
+      co_await redundant(slice)) {
     co_return;
   }
-  for (uint32_t attempt = 0;; ++attempt) {
-    Status fail = Status::kOk;
+  Status fail = Status::kOk;
+  for (uint32_t tries = 0;; ++tries) {
     try {
-      out = co_await read_slice_op(f, slice);
+      co_await attempt(slice);
       if (via_ds) record_ds_result(slice.addr, true);
       co_return;
     } catch (const NfsError& e) {
-      if (!via_ds) {
-        errors.record(e.status(), slice.device_index);
-        co_return;
-      }
-      record_ds_result(slice.addr, false);
-      if (attempt < config_.slice_retries && !breaker_open(slice.addr)) {
-        ++stats_.recovery_retries;
-        m_retries_->inc();
-        continue;  // same DS, next attempt
-      }
-      fail = e.status();  // terminal: degrade outside the handler
+      fail = e.status();  // recover outside the handler (it cannot co_await)
     }
-    // Degraded-read rung: a surviving replica or k-of-n reconstruction
-    // serves the bytes without the home DS — and without the MDS.
-    if (redundant && co_await degraded_read(f, slice, out)) co_return;
-    if (!config_.mds_fallback) {
-      errors.record(fail, slice.device_index);
+    if (!via_ds) {
+      errors.record(fail);
       co_return;
     }
-    break;  // degrade below
+    record_ds_result(slice.addr, false);
+    if (tries >= config_.slice_retries || breaker_open(slice.addr)) break;
+    tally(stats_.recovery_retries, m_retries_);  // same DS, next attempt
   }
-  // Degraded path: refresh the layout for future routing decisions, then
-  // proxy this byte range through the MDS — the plain-NFSv4 path.
-  co_await refetch_layout(f);
-  ++stats_.mds_fallbacks;
-  m_fallbacks_->inc();
+  // Redundant rung: a surviving replica, k-of-n reconstruction, or the
+  // redundancy absorbing the loss serves the slice without the home DS —
+  // and without the MDS.
+  if (has_redundancy && co_await redundant(slice)) co_return;
+  // Parity payloads are derived bytes: proxying them through the MDS would
+  // overwrite file content with parity.
+  if (slice.parity || !config_.mds_fallback) {
+    errors.record(fail);
+    co_return;
+  }
+  // MDS rung: refresh the layout for future routing decisions, then reissue
+  // the byte range through the MDS — the plain-NFSv4 path.
+  if (data_op) co_await refetch_layout(f);
+  tally(stats_.mds_fallbacks, m_fallbacks_);
+  const IoSlice via_mds = mds_slice(f, slice.file_offset, slice.length);
   try {
-    out = co_await read_slice_op(f, mds_slice(f, slice.file_offset,
-                                              slice.length));
+    co_await attempt(via_mds);
   } catch (const NfsError& e) {
-    errors.record(e.status(), slice.device_index);
+    errors.record(e.status());
   }
 }
 
-Task<void> NfsClient::run_write_slice(FileState& f, IoSlice slice,
-                                      Payload piece, StatusCollector& errors,
-                                      obs::TraceContext trace_parent) {
-  const bool via_ds = slice.device_index != IoSlice::kMds;
-  // Known-unhealthy device under a redundant layout: absorb immediately —
-  // the surviving copies carry the bytes, and the degraded set keeps reads
-  // away from this device's stale range.
-  if (via_ds && f.layout && redundant_aggregation(f.layout->aggregation) &&
-      device_unhealthy(f, slice.device_index, slice.file_offset,
-                       slice.file_offset + slice.length)) {
-    note_degraded_write(f, slice);
-    co_return;
-  }
-  const std::vector<IoSlice> one{slice};
-  for (uint32_t attempt = 0;; ++attempt) {
-    try {
-      co_await write_vector_op(f, one, piece, trace_parent);
-      if (via_ds) record_ds_result(slice.addr, true);
-      co_return;
-    } catch (const NfsError& e) {
-      if (!via_ds) {
-        errors.record(e.status(), slice.device_index);
-        co_return;
-      }
-      record_ds_result(slice.addr, false);
-      if (attempt < config_.slice_retries && !breaker_open(slice.addr)) {
-        ++stats_.recovery_retries;
-        m_retries_->inc();
-        continue;
-      }
-      if (f.layout && redundant_aggregation(f.layout->aggregation)) {
-        // Surviving redundancy absorbs the loss: record the device's stale
-        // range so reads route around it, and succeed without it.
-        note_degraded_write(f, slice);
-        co_return;
-      }
-      if (slice.parity || !config_.mds_fallback) {
-        // Parity payloads are derived bytes — proxying them through the MDS
-        // would overwrite file content with parity.
-        errors.record(e.status(), slice.device_index);
-        co_return;
-      }
-      break;
-    }
-  }
-  co_await refetch_layout(f);
-  ++stats_.mds_fallbacks;
-  m_fallbacks_->inc();
-  try {
-    const std::vector<IoSlice> via_mds{
-        mds_slice(f, slice.file_offset, slice.length)};
-    co_await write_vector_op(f, via_mds, std::move(piece), trace_parent);
-  } catch (const NfsError& e) {
-    errors.record(e.status(), slice.device_index);
-  }
+Task<void> NfsClient::read_ladder(FileState& f, IoSlice slice, Payload& out,
+                                  StatusCollector& errors) {
+  return run_ladder(
+      f, slice, errors,
+      [this, &out](const IoSlice& s) { return read_slice_op(s, out); },
+      [this, &f, &out](const IoSlice& s) { return degraded_read(f, s, out); },
+      /*data_op=*/true);
 }
 
-Task<void> NfsClient::run_write_vector(FileState& f,
-                                       std::vector<IoSlice> slices,
-                                       Payload data, StatusCollector& errors,
-                                       obs::TraceContext trace_parent) {
-  if (slices.size() == 1) {
-    co_return co_await run_write_slice(f, slices.front(), std::move(data),
-                                       errors, trace_parent);
-  }
-  const bool via_ds = slices.front().device_index != IoSlice::kMds;
-  try {
-    co_await write_vector_op(f, slices, data, trace_parent);
-    if (via_ds) record_ds_result(slices.front().addr, true);
-    co_return;
-  } catch (const NfsError&) {
-    if (via_ds) record_ds_result(slices.front().addr, false);
-  }
-  // Degrade region-by-region: each slice gets the full single-range ladder
-  // (same-DS retries, layout refetch, MDS fallback) and its own error slot.
-  uint64_t pos = 0;
-  for (const IoSlice& sl : slices) {
-    Payload piece = data.slice(pos, sl.length);
-    pos += sl.length;
-    co_await run_write_slice(f, sl, std::move(piece), errors, trace_parent);
-  }
+Task<void> NfsClient::write_ladder(FileState& f, IoSlice slice, Payload piece,
+                                   StatusCollector& errors,
+                                   obs::TraceContext trace_parent) {
+  return run_ladder(
+      f, slice, errors,
+      [this, &f, piece = std::move(piece), trace_parent](const IoSlice& s) {
+        return write_vector_op(f, {&s, 1}, piece, trace_parent);
+      },
+      // Surviving redundancy absorbs the loss: record the device's stale
+      // range so reads route around it, and succeed without it.
+      [this, &f](const IoSlice& s) -> Task<bool> {
+        note_degraded_write(f, s);
+        co_return true;
+      },
+      /*data_op=*/true);
 }
 
-Task<void> NfsClient::run_read_vector(FileState& f, std::vector<IoSlice> slices,
-                                      std::vector<Payload>& out,
-                                      StatusCollector& errors) {
-  if (slices.size() == 1) {
-    co_return co_await run_read_slice(f, slices.front(), out[0], errors);
-  }
-  const bool via_ds = slices.front().device_index != IoSlice::kMds;
-  try {
-    out = co_await read_vector_op(f, slices);
-    if (via_ds) record_ds_result(slices.front().addr, true);
-    co_return;
-  } catch (const NfsError&) {
-    if (via_ds) record_ds_result(slices.front().addr, false);
-  }
-  sim::WaitGroup wg(fabric_.simulation());
-  for (size_t i = 0; i < slices.size(); ++i) {
-    wg.spawn(run_read_slice(f, slices[i], out[i], errors));
-  }
-  co_await wg.wait();
-}
-
-Task<void> NfsClient::run_commit_target(FileState& f, size_t device_index,
-                                        StatusCollector& errors,
-                                        uint64_t* verifier_out) {
-  rpc::RpcAddress addr = mds_;
-  FileHandle fh = f.fh;
-  const bool via_ds = device_index != IoSlice::kMds && f.layout;
-  if (via_ds) {
-    addr = devices_.at(f.layout->devices[device_index]);
-    fh = f.layout->fhs[device_index];
-  }
-  for (uint32_t attempt = 0;; ++attempt) {
-    try {
-      const uint64_t v = co_await commit_op(addr, fh);
-      if (verifier_out != nullptr) *verifier_out = v;
-      if (via_ds) record_ds_result(addr, true);
-      co_return;
-    } catch (const NfsError& e) {
-      if (!via_ds) {
-        errors.record(e.status(), device_index);
-        co_return;
-      }
-      record_ds_result(addr, false);
-      if (attempt < config_.slice_retries && !breaker_open(addr)) {
-        ++stats_.recovery_retries;
-        m_retries_->inc();
-        continue;
-      }
-      if (f.layout && redundant_aggregation(f.layout->aggregation)) {
-        // The target is gone and its volatile bytes with it.  Move the
-        // retained ranges into the degraded set — the surviving redundancy
-        // holds the data — and drop the target so fsync converges.
-        if (auto it = f.commit_targets.find(device_index);
-            it != f.commit_targets.end()) {
-          for (const auto& iv : it->second.uncommitted.intervals()) {
-            f.degraded[device_index].add(iv.start, iv.end);
-          }
-          f.commit_targets.erase(it);
-        }
-        ++stats_.degraded_commits;
-        m_degraded_commits_->inc();
-        if (obs::FlightRecorder* flight = fabric_.flight()) {
-          flight->record(fabric_.simulation().now(), node_.name(),
-                         "nfs.client", "degraded.commit",
-                         util::sformat("fileid %llu dev %zu",
-                                       static_cast<unsigned long long>(
-                                           f.attr.fileid),
-                                       device_index));
-        }
-        co_return;
-      }
-      if (!config_.mds_fallback) {
-        errors.record(e.status(), device_index);
-        co_return;
-      }
-      break;
-    }
-  }
+Task<void> NfsClient::commit_ladder(FileState& f, size_t device_index,
+                                    StatusCollector& errors,
+                                    uint64_t* verifier) {
   // An MDS COMMIT flushes the whole file through the parallel FS — a
   // superset of the stripe commit that failed.  The MDS verifier never
   // matches the DS verifier recorded at WRITE time, so the caller replays
   // the retained extents — conservative but safe when the DS's fate is
   // unknown.
-  ++stats_.mds_fallbacks;
-  m_fallbacks_->inc();
+  const IoSlice target = device_index != IoSlice::kMds && f.layout
+                             ? device_slice(f, device_index, 0, 0, 0)
+                             : mds_slice(f, 0, 0);
+  return run_ladder(
+      f, target, errors,
+      [this, verifier](const IoSlice& s) { return commit_op(s, verifier); },
+      // The target is gone and its volatile bytes with it; the surviving
+      // redundancy holds the data, and dropping the target lets fsync
+      // converge.
+      [this, &f](const IoSlice& s) -> Task<bool> {
+        note_degraded_commit(f, s.device_index);
+        co_return true;
+      },
+      /*data_op=*/false);
+}
+
+template <typename Whole, typename Region>
+Task<void> NfsClient::run_vector(const std::vector<IoSlice>& slices,
+                                 Whole whole, Region region, bool concurrent) {
+  if (slices.size() == 1) {
+    co_await region(0);
+    co_return;
+  }
+  const IoSlice& first = slices.front();
+  const bool via_ds = first.device_index != IoSlice::kMds;
   try {
-    const uint64_t v = co_await commit_op(mds_, f.fh);
-    if (verifier_out != nullptr) *verifier_out = v;
-  } catch (const NfsError& e) {
-    errors.record(e.status(), device_index);
+    co_await whole();
+    if (via_ds) record_ds_result(first.addr, true);
+    co_return;
+  } catch (const NfsError&) {
+    if (via_ds) record_ds_result(first.addr, false);
+  }
+  // Degrade region by region: each slice gets the full ladder (same-DS
+  // retries, layout refetch, MDS fallback) and its own error slot.
+  if (concurrent) {
+    sim::WaitGroup wg(fabric_.simulation());
+    for (size_t i = 0; i < slices.size(); ++i) wg.spawn(region(i));
+    co_await wg.wait();
+  } else {
+    for (size_t i = 0; i < slices.size(); ++i) co_await region(i);
   }
 }
 
@@ -1623,15 +1452,14 @@ Task<Payload> NfsClient::read_slices(FileState& f, uint64_t offset,
   StatusCollector errors;
   sim::WaitGroup wg(fabric_.simulation());
   for (size_t i = 0; i < slices.size(); ++i) {
-    wg.spawn(run_read_slice(f, slices[i], results[i], errors));
+    wg.spawn(read_ladder(f, slices[i], results[i], errors));
   }
   co_await wg.wait();
   errors.throw_if_failed("READ");
 
   Payload assembled;
   for (auto& piece : results) assembled.append(std::move(piece));
-  stats_.wire_read_bytes += assembled.size();
-  m_miss_bytes_->add(assembled.size());
+  tally(stats_.wire_read_bytes, m_miss_bytes_, assembled.size());
   co_return assembled;
 }
 
@@ -1643,7 +1471,7 @@ Task<void> NfsClient::write_slices(FileState& f, uint64_t offset,
   sim::WaitGroup wg(fabric_.simulation());
   for (const auto& slice : slices) {
     Payload piece = data.slice(slice.file_offset - offset, slice.length);
-    wg.spawn(run_write_slice(f, slice, std::move(piece), errors));
+    wg.spawn(write_ladder(f, slice, std::move(piece), errors));
   }
   co_await wg.wait();
   errors.throw_if_failed("WRITE");
@@ -1665,8 +1493,7 @@ Task<Payload> NfsClient::read(FilePtr file, uint64_t offset, uint64_t length) {
 
   if (!config_.data_cache) {
     Payload p = co_await read_slices(*file, offset, want);
-    stats_.bytes_read += p.size();
-    m_read_bytes_->add(p.size());
+    tally(stats_.bytes_read, m_read_bytes_, p.size());
     // Sequential detection still applies (kernel readahead exists even for
     // O_DIRECT-less uncached mode is moot — without a cache there is nowhere
     // to put readahead data, so skip it).
@@ -1693,13 +1520,11 @@ Task<Payload> NfsClient::read(FilePtr file, uint64_t offset, uint64_t length) {
     co_await fetch_range(file, gaps.front().start, gaps.back().end);
   }
   if (!fetched) {
-    stats_.cache_hit_bytes += want;
-    m_hit_bytes_->add(want);
+    tally(stats_.cache_hit_bytes, m_hit_bytes_, want);
   }
 
   Payload out = file->content.load(offset, want);
-  stats_.bytes_read += out.size();
-  m_read_bytes_->add(out.size());
+  tally(stats_.bytes_read, m_read_bytes_, out.size());
 
   // Sequential readahead.  Extensions are quantized to whole rsize chunks
   // so the wire sees rsize-sized READs, not request-sized dribbles.
@@ -1727,10 +1552,7 @@ Task<void> NfsClient::readahead(FilePtr file, uint64_t from, uint64_t to) {
     const uint64_t fetched = co_await fetch_range(file, from, to);
     // Count only readaheads that really hit the wire; ranges that were
     // already cached or in flight are not fetches.
-    if (fetched > 0) {
-      ++stats_.readahead_fetches;
-      m_readahead_fetches_->inc();
-    }
+    if (fetched > 0) tally(stats_.readahead_fetches, m_readahead_fetches_);
   } catch (const NfsError&) {
     // Readahead failures are harmless; the demand read will retry and
     // surface the error.
@@ -1842,19 +1664,18 @@ Task<uint64_t> NfsClient::fetch_range(FilePtr file, uint64_t start,
         slices.reserve(b.size());
         for (auto& r : b) slices.push_back(r.slice);
         std::vector<Payload> out(slices.size());
-        co_await self.run_read_vector(*file, std::move(slices), out, errors);
+        co_await self.run_vector(
+            slices, [&] { return self.read_vector_op(slices, out); },
+            [&](size_t i) {
+              return self.read_ladder(*file, slices[i], out[i], errors);
+            },
+            /*concurrent=*/true);
         uint64_t got = 0;
         for (size_t i = 0; i < b.size(); ++i) {
-          const IoSlice& s = b[i].slice;
           if (out[i].size() > 0) {
             got += out[i].size();
             fetched += out[i].size();
-            file->content.store(s.file_offset, out[i]);
-            const uint64_t before = file->valid.total_length();
-            file->valid.add(s.file_offset, s.file_offset + out[i].size());
-            self.account_valid_delta(
-                *file,
-                static_cast<int64_t>(file->valid.total_length() - before));
+            self.mark_valid(*file, b[i].slice.file_offset, out[i]);
           }
           if (--remaining[b[i].fetch_idx] == 0) {
             Fetch& f = fetches[b[i].fetch_idx];
@@ -1862,8 +1683,7 @@ Task<uint64_t> NfsClient::fetch_range(FilePtr file, uint64_t start,
             f.latch->set();
           }
         }
-        self.stats_.wire_read_bytes += got;
-        self.m_miss_bytes_->add(got);
+        tally(self.stats_.wire_read_bytes, self.m_miss_bytes_, got);
       }(*this, file, std::move(batch), errors, fetched, remaining, fetches));
     }
     co_await wg.wait();
@@ -1879,13 +1699,9 @@ Task<uint64_t> NfsClient::fetch_range(FilePtr file, uint64_t start,
       try {
         Payload data = co_await self.read_slices(*file, f.start, f.len);
         fetched += data.size();
-        file->content.store(f.start, data);
-        const uint64_t before = file->valid.total_length();
-        file->valid.add(f.start, f.start + data.size());
-        self.account_valid_delta(*file,
-                                 static_cast<int64_t>(file->valid.total_length() - before));
+        self.mark_valid(*file, f.start, data);
       } catch (const NfsError& e) {
-        errors.record(e.status(), StatusCollector::kNoDevice);
+        errors.record(e.status());
       }
       file->inflight.erase(f.start);
       f.latch->set();
@@ -1922,27 +1738,15 @@ Task<void> NfsClient::write(FilePtr file, uint64_t offset, Payload data) {
     co_await write_slices(*file, offset, data);
     file->size = std::max(file->size, end);
     file->size_dirty = true;
-    stats_.bytes_written += len;
-    m_write_bytes_->add(len);
+    tally(stats_.bytes_written, m_write_bytes_, len);
     co_return;
   }
 
-  file->content.store(offset, data);
-  {
-    const uint64_t before = file->valid.total_length();
-    file->valid.add(offset, end);
-    account_valid_delta(*file,
-                        static_cast<int64_t>(file->valid.total_length() - before));
-  }
-  {
-    const uint64_t before = file->dirty.total_length();
-    file->dirty.add(offset, end);
-    dirty_bytes_ += file->dirty.total_length() - before;
-  }
+  mark_valid(*file, offset, data);
+  mark_dirty(*file, offset, end);
   file->size = std::max(file->size, end);
   file->size_dirty = true;
-  stats_.bytes_written += len;
-  m_write_bytes_->add(len);
+  tally(stats_.bytes_written, m_write_bytes_, len);
 
   // Write-back: push out every fully-dirty wsize chunk asynchronously (a
   // bounded pipeline of in-flight WRITEs, like the kernel flusher).
@@ -1971,19 +1775,14 @@ NfsClient::DsSched& NfsClient::sched_for(const rpc::RpcAddress& addr) {
       fabric_.simulation(), std::max<uint32_t>(1, config_.wb_window_per_ds));
   sched.label =
       (addr == mds_) ? "mds" : "ds" + std::to_string(addr.node_id);
-  if (obs::MetricsRegistry* reg = fabric_.metrics()) {
-    const std::string& n = node_.name();
-    sched.m_queue_depth =
-        &reg->gauge(n, "client.sched", "queue_depth_" + sched.label);
-    sched.m_queue_peak =
-        &reg->gauge(n, "client.sched", "queue_depth_peak_" + sched.label);
-    sched.m_window_inflight =
-        &reg->gauge(n, "client.sched", "window_inflight_" + sched.label);
-  } else {
-    sched.m_queue_depth = &obs::MetricsRegistry::null_gauge();
-    sched.m_queue_peak = &obs::MetricsRegistry::null_gauge();
-    sched.m_window_inflight = &obs::MetricsRegistry::null_gauge();
-  }
+  obs::MetricsRegistry& reg = fabric_.metrics();
+  const std::string& n = node_.name();
+  sched.m_queue_depth =
+      &reg.gauge(n, "client.sched", "queue_depth_" + sched.label);
+  sched.m_queue_peak =
+      &reg.gauge(n, "client.sched", "queue_depth_peak_" + sched.label);
+  sched.m_window_inflight =
+      &reg.gauge(n, "client.sched", "window_inflight_" + sched.label);
   return scheds_.emplace(addr, std::move(sched)).first->second;
 }
 
@@ -2044,9 +1843,6 @@ void NfsClient::enqueue_writeback(const FilePtr& file, IoSlice slice,
   q.push(start, slice.length, std::move(item));
   note_sched_queue(sched);
 
-  if (!file->wb_inflight) {
-    file->wb_inflight = std::make_unique<sim::WaitGroup>(fabric_.simulation());
-  }
   // The worker is scheduled, not run inline, so every extent of this flush
   // is queued before the first dispatch — that's what makes runs mergeable.
   file->wb_inflight->spawn(wb_worker(file, slice.addr));
@@ -2093,84 +1889,63 @@ Task<void> NfsClient::wb_worker(FilePtr file, rpc::RpcAddress addr) {
       v.data = v.data.slice(head_len, v.slice.length);
       return head;
     };
-    auto run = qit->second.pop_run(config_.wsize, merge_ok, splitter);
-    if (qit->second.empty()) sched.queues.erase(qit);
+    // Each pass pops one run of adjacent extents and folds it into one
+    // region.  With list I/O on, further runs from the same queue — mutually
+    // non-adjacent by construction, or pop_run would have merged them — join
+    // as more regions of one vectored WRITEV of up to wsize total bytes, so
+    // contiguity is no longer the price of batching strided extents.
+    std::vector<IoSlice> slices;
+    std::vector<Payload> payloads;
+    uint64_t total = 0;
+    sim::Time first_enq = 0;
+    for (;;) {
+      auto run = qit->second.pop_run(config_.wsize - total, merge_ok, splitter);
+      if (qit->second.empty()) sched.queues.erase(qit);
+      if (run.empty()) break;
+      IoSlice s = run.front().value.slice;
+      Payload data = std::move(run.front().value.data);
+      sim::Time enq = run.front().value.enqueued_at;
+      for (size_t i = 1; i < run.size(); ++i) {
+        QueuedWrite& qw = run[i].value;
+        s.length += qw.slice.length;
+        data.append(std::move(qw.data));
+        enq = std::min(enq, qw.enqueued_at);
+        tally(stats_.sched_coalesced_extents, m_sched_coalesced_extents_);
+        tally(stats_.sched_coalesced_bytes, m_sched_coalesced_bytes_,
+              qw.slice.length);
+      }
+      if (!slices.empty() && s.device_index != slices.front().device_index) {
+        // Same DS address, different route (different filehandle): a
+        // compound holds one PUTFH, so requeue for the next dispatch.
+        QueuedWrite back;
+        back.file = file;
+        back.slice = s;
+        back.data = std::move(data);
+        back.enqueued_at = enq;
+        sched.queues[ino].push(s.target_offset, s.length, std::move(back));
+        break;
+      }
+      first_enq = slices.empty() ? enq : std::min(first_enq, enq);
+      slices.push_back(s);
+      payloads.push_back(std::move(data));
+      total += s.length;
+      if (!config_.coalesce_writes || !config_.listio_enabled ||
+          slices.size() >= config_.listio_max_regions ||
+          total >= config_.wsize) {
+        break;
+      }
+      qit = sched.queues.find(ino);
+      if (qit == sched.queues.end() || qit->second.empty()) break;
+    }
     note_sched_queue(sched);
-    if (run.empty()) {
+    if (slices.empty()) {
       sched.window->release();
       continue;
     }
-
-    IoSlice s = run.front().value.slice;
-    Payload first_data = std::move(run.front().value.data);
-    sim::Time first_enq = run.front().value.enqueued_at;
-    for (size_t i = 1; i < run.size(); ++i) {
-      QueuedWrite& qw = run[i].value;
-      s.length += qw.slice.length;
-      first_data.append(std::move(qw.data));
-      first_enq = std::min(first_enq, qw.enqueued_at);
-      ++stats_.sched_coalesced_extents;
-      stats_.sched_coalesced_bytes += qw.slice.length;
-      m_sched_coalesced_extents_->inc();
-      m_sched_coalesced_bytes_->add(qw.slice.length);
-    }
-
-    // List I/O: fold further runs from the same queue — mutually
-    // non-adjacent by construction, or pop_run would have merged them —
-    // into one vectored WRITEV of up to wsize total bytes.  Contiguity is
-    // no longer the price of batching strided extents.
-    std::vector<IoSlice> slices{s};
-    std::vector<Payload> payloads;
-    payloads.push_back(std::move(first_data));
-    uint64_t total = s.length;
-    if (config_.coalesce_writes && config_.listio_enabled) {
-      while (slices.size() < config_.listio_max_regions &&
-             total < config_.wsize) {
-        auto more = sched.queues.find(ino);
-        if (more == sched.queues.end() || more->second.empty()) break;
-        auto run2 =
-            more->second.pop_run(config_.wsize - total, merge_ok, splitter);
-        if (more->second.empty()) sched.queues.erase(more);
-        if (run2.empty()) break;
-        IoSlice s2 = run2.front().value.slice;
-        Payload d2 = std::move(run2.front().value.data);
-        sim::Time enq2 = run2.front().value.enqueued_at;
-        for (size_t i = 1; i < run2.size(); ++i) {
-          QueuedWrite& qw = run2[i].value;
-          s2.length += qw.slice.length;
-          d2.append(std::move(qw.data));
-          enq2 = std::min(enq2, qw.enqueued_at);
-          ++stats_.sched_coalesced_extents;
-          stats_.sched_coalesced_bytes += qw.slice.length;
-          m_sched_coalesced_extents_->inc();
-          m_sched_coalesced_bytes_->add(qw.slice.length);
-        }
-        if (s2.device_index != s.device_index) {
-          // Same DS address, different route (different filehandle): a
-          // compound holds one PUTFH, so requeue for the next dispatch.
-          QueuedWrite back;
-          back.file = file;
-          back.slice = s2;
-          back.data = std::move(d2);
-          back.enqueued_at = enq2;
-          sched.queues[ino].push(s2.target_offset, s2.length,
-                                 std::move(back));
-          break;
-        }
-        first_enq = std::min(first_enq, enq2);
-        slices.push_back(s2);
-        payloads.push_back(std::move(d2));
-        total += s2.length;
-      }
-      note_sched_queue(sched);
-    }
     if (slices.size() > 1) {
-      ++stats_.vectored_writes;
-      stats_.vectored_regions += slices.size();
-      stats_.vectored_bytes += total;
-      m_vectored_writes_->inc();
-      m_vectored_regions_->add(slices.size());
-      m_vectored_bytes_->add(total);
+      tally(stats_.vectored_writes, m_vectored_writes_);
+      tally(stats_.vectored_regions, m_vectored_regions_, slices.size());
+      tally(stats_.vectored_bytes, m_vectored_bytes_, total);
     }
 
     ++sched.inflight;
@@ -2204,9 +1979,17 @@ Task<void> NfsClient::wb_worker(FilePtr file, rpc::RpcAddress addr) {
     StatusCollector errors;
     // `payloads` keeps each region's bytes for re-dirtying if the WRITE
     // fails; the wire payload is their scatter-gather concatenation.
-    Payload data;
-    for (const Payload& p : payloads) data.append(p);
-    co_await run_write_vector(*file, slices, std::move(data), errors, ctx);
+    co_await run_vector(
+        slices,
+        [&] {
+          Payload data;
+          for (const Payload& p : payloads) data.append(p);
+          return write_vector_op(*file, slices, std::move(data), ctx);
+        },
+        [&](size_t i) {
+          return write_ladder(*file, slices[i], payloads[i], errors, ctx);
+        },
+        /*concurrent=*/false);
     if (errors.failed()) {
       file->wb_error = true;
       // A failed write-back keeps its pages dirty (kernel semantics): the
@@ -2217,40 +2000,22 @@ Task<void> NfsClient::wb_worker(FilePtr file, rpc::RpcAddress addr) {
           // Parity payloads are derived, never file bytes: restoring them
           // into the cache would corrupt content.  Re-dirty the stripe
           // group they cover so the next flush recomputes data + parity.
-          uint64_t span = slices[i].length;
-          if (file->layout) {
-            if (const auto geo = EcGeometry::from(*file->layout)) {
-              span = slices[i].length * geo->k;
-            }
-          }
           const uint64_t gs = slices[i].file_offset;
-          const uint64_t ge = std::min(file->size, gs + span);
-          if (ge > gs) {
-            const uint64_t dbefore = file->dirty.total_length();
-            file->dirty.add(gs, ge);
-            dirty_bytes_ += file->dirty.total_length() - dbefore;
-          }
+          const uint64_t ge = std::min(file->size, covered_end(*file, slices[i]));
+          if (ge > gs) mark_dirty(*file, gs, ge);
           continue;
         }
         const uint64_t ws = slices[i].file_offset;
         const uint64_t we = ws + slices[i].length;
         for (const auto& gap : file->dirty.gaps(ws, we)) {
-          file->content.store(gap.start,
-                              payloads[i].slice(gap.start - ws, gap.length()));
-          const uint64_t vbefore = file->valid.total_length();
-          file->valid.add(gap.start, gap.end);
-          account_valid_delta(
-              *file,
-              static_cast<int64_t>(file->valid.total_length() - vbefore));
-          const uint64_t dbefore = file->dirty.total_length();
-          file->dirty.add(gap.start, gap.end);
-          dirty_bytes_ += file->dirty.total_length() - dbefore;
+          mark_valid(*file, gap.start,
+                     payloads[i].slice(gap.start - ws, gap.length()));
+          mark_dirty(*file, gap.start, gap.end);
         }
       }
     }
     stats_.wire_write_bytes += total;
-    ++stats_.sched_writes;
-    m_sched_writes_->inc();
+    tally(stats_.sched_writes, m_sched_writes_);
     m_sched_bytes_->add(total);
 
     if (tracer_ != nullptr && ctx.valid()) {
@@ -2277,7 +2042,7 @@ Task<void> NfsClient::wb_worker(FilePtr file, rpc::RpcAddress addr) {
         // now, under the remaining transmissions, instead of letting it
         // all pile up behind fsync's final COMMIT.
         file->wb_inflight->spawn(
-            wb_background_commit(file, addr, s.device_index));
+            wb_background_commit(file, addr, slices.front().device_index));
       }
     }
 
@@ -2296,58 +2061,39 @@ Task<void> NfsClient::wb_background_commit(FilePtr file, rpc::RpcAddress addr,
   // they accumulate toward the next trigger.
   sched.uncommitted[ino] = 0;
   StatusCollector errors;  // best-effort: fsync's COMMIT retries stragglers
-  co_await run_commit_target(*file, device_index, errors);
+  co_await commit_ladder(*file, device_index, errors);
   sched.commit_inflight.erase(ino);
 }
 
 Task<void> NfsClient::flush_dirty(FilePtr file, bool only_full_chunks,
                                   bool wait_completion) {
   co_await ensure_layout_fresh(*file);
-  if (file->layout &&
-      file->layout->aggregation == AggregationType::kErasureCoded) {
-    // Group-granular flush: data and parity leave together.
-    co_return co_await flush_dirty_ec(file, wait_completion);
-  }
-  const uint64_t chunk = config_.wsize;
-  std::vector<util::IntervalSet::Interval> ranges;
-  for (const auto& iv : file->dirty.intervals()) {
-    if (only_full_chunks) {
-      const uint64_t cs = round_up(iv.start, chunk);
-      const uint64_t ce = round_down(iv.end, chunk);
-      if (ce > cs) ranges.push_back({cs, ce});
-    } else {
-      ranges.push_back(iv);
-    }
-  }
-
   if (!file->wb_inflight) {
     file->wb_inflight = std::make_unique<sim::WaitGroup>(fabric_.simulation());
   }
-
-  // Claim the ranges before suspending so concurrent flushes don't repeat
-  // the work, then route each range and queue the pieces on their data
-  // servers' pipelines.  Content is loaded here, synchronously: once
-  // claimed, the bytes look clean and are fair game for eviction.
-  for (const auto& r : ranges) {
-    const uint64_t before = file->dirty.total_length();
-    file->dirty.subtract(r.start, r.end);
-    dirty_bytes_ -= before - file->dirty.total_length();
-  }
-  for (const auto& r : ranges) {
-    const auto slices = route(*file, r.start, r.end - r.start,
-                              /*for_write=*/true);
-    for (const auto& s : slices) {
-      uint64_t pos = 0;
-      while (pos < s.length) {
-        const uint64_t n = std::min<uint64_t>(chunk, s.length - pos);
-        IoSlice piece = s;
-        piece.target_offset += pos;
-        piece.file_offset += pos;
-        piece.length = n;
-        Payload data = file->content.load(piece.file_offset, n);
-        enqueue_writeback(file, piece, std::move(data));
-        pos += n;
+  if (file->layout &&
+      file->layout->aggregation == AggregationType::kErasureCoded) {
+    // Group-granular flush: data and parity leave together.
+    co_await flush_dirty_ec(file);
+  } else {
+    const uint64_t chunk = config_.wsize;
+    std::vector<util::IntervalSet::Interval> ranges;
+    for (const auto& iv : file->dirty.intervals()) {
+      if (only_full_chunks) {
+        const uint64_t cs = round_up(iv.start, chunk);
+        const uint64_t ce = round_down(iv.end, chunk);
+        if (ce > cs) ranges.push_back({cs, ce});
+      } else {
+        ranges.push_back(iv);
       }
+    }
+    // Claim the ranges before suspending so concurrent flushes don't repeat
+    // the work, then route each range and queue the pieces on their data
+    // servers' pipelines.  Content is loaded here, synchronously: once
+    // claimed, the bytes look clean and are fair game for eviction.
+    for (const auto& r : ranges) claim_dirty(*file, r.start, r.end);
+    for (const auto& r : ranges) {
+      enqueue_range(file, r.start, r.end, /*for_write=*/true);
     }
   }
 
@@ -2360,16 +2106,26 @@ Task<void> NfsClient::flush_dirty(FilePtr file, bool only_full_chunks,
   }
 }
 
-Task<void> NfsClient::flush_dirty_ec(FilePtr file, bool wait_completion) {
+void NfsClient::enqueue_range(const FilePtr& file, uint64_t start,
+                              uint64_t end, bool for_write) {
+  for (const IoSlice& s : route(*file, start, end - start, for_write)) {
+    for (uint64_t pos = 0; pos < s.length; pos += config_.wsize) {
+      IoSlice piece = s;
+      piece.target_offset += pos;
+      piece.file_offset += pos;
+      piece.length = std::min<uint64_t>(config_.wsize, s.length - pos);
+      enqueue_writeback(file, piece,
+                        file->content.load(piece.file_offset, piece.length));
+    }
+  }
+}
+
+Task<void> NfsClient::flush_dirty_ec(FilePtr file) {
   FileState& f = *file;
   const auto geo = f.layout ? EcGeometry::from(*f.layout) : std::nullopt;
   if (!geo) throw NfsError(Status::kInval, "malformed erasure-coded layout");
   const uint64_t gb = geo->group_bytes();
   const uint64_t su = geo->su;
-
-  if (!f.wb_inflight) {
-    f.wb_inflight = std::make_unique<sim::WaitGroup>(fabric_.simulation());
-  }
 
   // Snapshot the touched stripe groups; groups dirtied while this flush
   // runs belong to the next one.
@@ -2397,11 +2153,7 @@ Task<void> NfsClient::flush_dirty_ec(FilePtr file, bool wait_completion) {
     const uint64_t data_end = std::min<uint64_t>(ge, f.size);
     const auto todo = f.dirty.intersection(gs, ge);
     if (todo.empty()) continue;  // a concurrent flush claimed this group
-    {
-      const uint64_t before = f.dirty.total_length();
-      f.dirty.subtract(gs, ge);
-      dirty_bytes_ -= before - f.dirty.total_length();
-    }
+    claim_dirty(f, gs, ge);
 
     // Encode the group's parity from the zero-padded cached shards.  All of
     // [gs, data_end) is valid here, and no suspension separates the claim
@@ -2432,48 +2184,18 @@ Task<void> NfsClient::flush_dirty_ec(FilePtr file, bool wait_completion) {
       }
     }
 
-    // Data: exactly the claimed dirty ranges, wsize-chunked through the
-    // data mapping (the EC driver's map_read is the data half of its
-    // map_write).
+    // Data: exactly the claimed dirty ranges, through the data mapping (the
+    // EC driver's map_read is the data half of its map_write).
     for (const auto& div : todo) {
-      const auto slices =
-          route(f, div.start, div.end - div.start, /*for_write=*/false);
-      for (const auto& s : slices) {
-        uint64_t pos = 0;
-        while (pos < s.length) {
-          const uint64_t n = std::min<uint64_t>(config_.wsize, s.length - pos);
-          IoSlice piece = s;
-          piece.target_offset += pos;
-          piece.file_offset += pos;
-          piece.length = n;
-          Payload data = f.content.load(piece.file_offset, n);
-          enqueue_writeback(file, piece, std::move(data));
-          pos += n;
-        }
-      }
+      enqueue_range(file, div.start, div.end, /*for_write=*/false);
     }
     // Parity: one whole-su block per parity device.  Every shard of group
     // g sits at device offset g*su.
     for (uint64_t j = 0; j < geo->m; ++j) {
-      const size_t dev = static_cast<size_t>(geo->k + j);
-      IoSlice ps;
-      ps.device_index = dev;
-      ps.addr = devices_.at(f.layout->devices[dev]);
-      ps.fh = f.layout->fhs[dev];
-      ps.stateid = kDataServerStateid;
-      ps.target_offset = gs / gb * su;
-      ps.file_offset = gs;
-      ps.length = su;
+      IoSlice ps = device_slice(f, static_cast<size_t>(geo->k + j),
+                                gs / gb * su, gs, su);
       ps.parity = true;
       enqueue_writeback(file, ps, std::move(parity[static_cast<size_t>(j)]));
-    }
-  }
-
-  if (wait_completion) {
-    co_await f.wb_inflight->wait();
-    if (f.wb_error) {
-      f.wb_error = false;
-      throw NfsError(Status::kIo, "flush");
     }
   }
 }
@@ -2495,7 +2217,7 @@ Task<void> NfsClient::commit_unstable(FileState& f) {
   StatusCollector errors;
   sim::WaitGroup wg(fabric_.simulation());
   for (size_t idx : targets) {
-    wg.spawn(run_commit_target(f, idx, errors, &verifiers[idx]));
+    wg.spawn(commit_ladder(f, idx, errors, &verifiers[idx]));
   }
   co_await wg.wait();
   if (errors.failed()) {
@@ -2574,8 +2296,26 @@ Task<void> NfsClient::fsync(FilePtr file) {
 // Cache accounting
 // ---------------------------------------------------------------------------
 
-void NfsClient::account_valid_delta(FileState& f, int64_t delta) {
-  (void)f;
+void NfsClient::mark_valid(FileState& f, uint64_t offset, const Payload& data) {
+  f.content.store(offset, data);
+  const uint64_t before = f.valid.total_length();
+  f.valid.add(offset, offset + data.size());
+  account_valid_delta(static_cast<int64_t>(f.valid.total_length() - before));
+}
+
+void NfsClient::mark_dirty(FileState& f, uint64_t start, uint64_t end) {
+  const uint64_t before = f.dirty.total_length();
+  f.dirty.add(start, end);
+  dirty_bytes_ += f.dirty.total_length() - before;
+}
+
+void NfsClient::claim_dirty(FileState& f, uint64_t start, uint64_t end) {
+  const uint64_t before = f.dirty.total_length();
+  f.dirty.subtract(start, end);
+  dirty_bytes_ -= before - f.dirty.total_length();
+}
+
+void NfsClient::account_valid_delta(int64_t delta) {
   if (delta >= 0) {
     cached_bytes_ += static_cast<uint64_t>(delta);
   } else {
@@ -2598,20 +2338,24 @@ void NfsClient::evict_clean_if_needed() {
       }
     }
     if (victim == nullptr) break;  // everything is pinned: nothing to evict
-    const util::IntervalSet pin = victim->pinned();
-    uint64_t evicted = 0;
-    for (const auto& iv : victim->valid.intervals()) {
-      for (const auto& clean : pin.gaps(iv.start, iv.end)) {
-        victim->content.drop(clean.start, clean.end);
-        evicted += clean.length();
-      }
-    }
-    // valid := pinned (only unevictable ranges remain cached).
-    victim->valid = pin;
-    victim->readahead_high = 0;
-    account_valid_delta(*victim, -static_cast<int64_t>(evicted));
-    if (evicted == 0) break;
+    if (drop_clean(*victim) == 0) break;
   }
+}
+
+uint64_t NfsClient::drop_clean(FileState& st) {
+  const util::IntervalSet pin = st.pinned();
+  uint64_t dropped = 0;
+  for (const auto& iv : st.valid.intervals()) {
+    for (const auto& clean : pin.gaps(iv.start, iv.end)) {
+      st.content.drop(clean.start, clean.end);
+      dropped += clean.length();
+    }
+  }
+  // valid := pinned (only unevictable ranges remain cached).
+  st.valid = pin;
+  st.readahead_high = 0;
+  account_valid_delta(-static_cast<int64_t>(dropped));
+  return dropped;
 }
 
 }  // namespace dpnfs::nfs

@@ -21,6 +21,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -44,10 +45,8 @@ struct ClientConfig {
   uint32_t readahead_window = 4;           ///< readahead depth, in rsize units
   bool data_cache = true;                  ///< ablation switch
   bool pnfs_enabled = true;                ///< issue LAYOUTGET at open
-  bool commit_on_close = true;
   /// Register a backchannel with the MDS so it can recall layouts.
   bool enable_backchannel = true;
-  uint32_t session_slots = 64;
   /// Max concurrent write-back WRITEs **per data server**.  Each DS gets its
   /// own bounded pipeline (semaphore + elevator queue), so a slow or failed
   /// DS never stalls flushes destined for healthy ones — the serialization
@@ -63,13 +62,6 @@ struct ClientConfig {
   bool listio_enabled = true;
   /// Max (offset, length) regions one vectored request may carry.
   uint32_t listio_max_regions = 64;
-  /// Write-back dispatches admitted to the NIC concurrently.  The NIC
-  /// serializes frames, so launching every per-DS pipeline at once just
-  /// time-slices the link and bunches all completions (and the server disk
-  /// work behind them) at the tail.  A dispatch holds a transmit token only
-  /// for its payload's estimated serialization time — never for the full
-  /// RPC — so a slow or dead DS cannot pin the gate.
-  uint32_t wb_wire_tokens = 1;
   /// Once a data server holds this many completed-but-uncommitted write-back
   /// bytes for a file, the scheduler issues an asynchronous COMMIT to it so
   /// the server starts its disk flush under the remaining transmissions
@@ -150,21 +142,16 @@ struct ClientStats {
 };
 
 /// Records the first non-OK status across a fan-out of concurrent slice
-/// operations, plus which device produced it.  Replaces the old
-/// `bool failed; Status fail_status;` out-param pairs.
+/// operations.
 class StatusCollector {
  public:
-  static constexpr size_t kNoDevice = static_cast<size_t>(-1);
-
-  void record(Status s, size_t device_index = kNoDevice) noexcept {
+  void record(Status s) noexcept {
     if (s == Status::kOk || failed_) return;
     failed_ = true;
     status_ = s;
-    device_index_ = device_index;
   }
   bool failed() const noexcept { return failed_; }
   Status status() const noexcept { return status_; }
-  size_t device_index() const noexcept { return device_index_; }
   void throw_if_failed(const std::string& what) const {
     if (failed_) throw NfsError(status_, what);
   }
@@ -172,7 +159,6 @@ class StatusCollector {
  private:
   bool failed_ = false;
   Status status_ = Status::kOk;
-  size_t device_index_ = kNoDevice;
 };
 
 class NfsClient {
@@ -304,6 +290,8 @@ class NfsClient {
   void session_lost(const rpc::RpcAddress& addr, const SessionId& sid);
   rpc::CallOptions call_options(const rpc::RpcAddress& addr) const;
 
+  bool layout_usable(const FileLayout& l) const;
+
   // Path machinery.
   sim::Task<FileHandle> resolve(const std::string& path);
   void invalidate_dentries(const std::string& prefix);
@@ -313,6 +301,9 @@ class NfsClient {
                              bool for_write);
   IoSlice mds_slice(const FileState& f, uint64_t offset,
                     uint64_t length) const;
+  /// A slice of layout device `dev` at `target_offset` in its address space.
+  IoSlice device_slice(const FileState& f, size_t dev, uint64_t target_offset,
+                       uint64_t file_offset, uint64_t length) const;
   static std::shared_ptr<sim::Latch> find_inflight_overlap(FileState& f,
                                                            uint64_t start,
                                                            uint64_t end);
@@ -323,41 +314,51 @@ class NfsClient {
                                       uint64_t length);
   sim::Task<void> write_slices(FileState& f, uint64_t offset,
                                const rpc::Payload& data);
-  // Single-attempt slice ops (throw NfsError on failure)...
-  sim::Task<rpc::Payload> read_slice_op(FileState& f, const IoSlice& slice);
-  /// Multi-region READV to one server: returns each slice's bytes.  Regions
-  /// read short mid-object are re-filled via read_slice_op; short reads at
-  /// EOF zero-fill like the single-range path.
-  sim::Task<std::vector<rpc::Payload>> read_vector_op(
-      FileState& f, const std::vector<IoSlice>& slices);
+  // Single-attempt ops: each throws NfsError on failure and stores its
+  // result only on success.
+  sim::Task<void> read_slice_op(const IoSlice& slice, rpc::Payload& out);
+  /// Multi-region READV to one server: each slice's bytes.  Regions read
+  /// short mid-object are re-filled via read_slice_op; short reads at EOF
+  /// zero-fill like the single-range path.
+  sim::Task<void> read_vector_op(const std::vector<IoSlice>& slices,
+                                 std::vector<rpc::Payload>& out);
   /// WRITE/WRITEV to one server: one slice emits the classic single-range
-  /// op (wire-identical to the old write_slice_op), 2+ slices a vectored
-  /// one.  The reply's single verifier is recorded for every region.
-  sim::Task<void> write_vector_op(FileState& f,
-                                  const std::vector<IoSlice>& slices,
+  /// op, 2+ slices a vectored one.  The reply's single verifier is recorded
+  /// for every region.
+  sim::Task<void> write_vector_op(FileState& f, std::span<const IoSlice> slices,
                                   rpc::Payload data,
                                   obs::TraceContext trace_parent = {});
-  /// COMMIT to one server; returns the write verifier its reply carried.
-  sim::Task<uint64_t> commit_op(rpc::RpcAddress addr, FileHandle fh);
-  // ...and their recovering wrappers: retry same DS, re-fetch the layout,
-  // then degrade to the MDS; errors land in the collector.
-  sim::Task<void> run_read_slice(FileState& f, IoSlice slice,
-                                 rpc::Payload& out, StatusCollector& errors);
-  sim::Task<void> run_write_slice(FileState& f, IoSlice slice,
-                                  rpc::Payload piece, StatusCollector& errors,
-                                  obs::TraceContext trace_parent = {});
-  /// Vectored wrappers: one retry round against the DS as a whole, then
-  /// degrade region-by-region through the single-slice ladders (so each
-  /// region keeps its own retry/breaker/MDS-fallback recovery).
-  sim::Task<void> run_write_vector(FileState& f, std::vector<IoSlice> slices,
-                                   rpc::Payload data, StatusCollector& errors,
-                                   obs::TraceContext trace_parent = {});
-  sim::Task<void> run_read_vector(FileState& f, std::vector<IoSlice> slices,
-                                  std::vector<rpc::Payload>& out,
-                                  StatusCollector& errors);
-  sim::Task<void> run_commit_target(FileState& f, size_t device_index,
-                                    StatusCollector& errors,
-                                    uint64_t* verifier_out = nullptr);
+  /// COMMIT to the slice's server and filehandle; stores the write verifier
+  /// its reply carried in `*verifier` (when non-null).
+  sim::Task<void> commit_op(const IoSlice& target, uint64_t* verifier);
+
+  /// The recovery ladder every READ, WRITE and COMMIT slice climbs (see
+  /// docs/failures.md): same-DS retries, the redundant-layout rung, then a
+  /// reissue through the MDS.  `attempt(s)` issues the op against slice `s`;
+  /// `redundant(s)` serves it from surviving redundancy (true: served).
+  /// `data_op` (READ/WRITE) consults device health before the first attempt
+  /// and re-fetches the layout before the MDS reissue.  Errors land in the
+  /// collector.  Both callables live in the ladder's frame, so whatever they
+  /// capture stays valid across every await.
+  template <typename Attempt, typename Redundant>
+  sim::Task<void> run_ladder(FileState& f, IoSlice slice,
+                             StatusCollector& errors, Attempt attempt,
+                             Redundant redundant, bool data_op);
+  sim::Task<void> read_ladder(FileState& f, IoSlice slice, rpc::Payload& out,
+                              StatusCollector& errors);
+  sim::Task<void> write_ladder(FileState& f, IoSlice slice, rpc::Payload piece,
+                               StatusCollector& errors,
+                               obs::TraceContext trace_parent = {});
+  sim::Task<void> commit_ladder(FileState& f, size_t device_index,
+                                StatusCollector& errors,
+                                uint64_t* verifier = nullptr);
+  /// A multi-region request to one server: one vectored attempt (`whole()`)
+  /// and, if that fails, every region through its own ladder (`region(i)`),
+  /// concurrently or in order.  A single region goes straight to its ladder.
+  /// `slices` must outlive the call.
+  template <typename Whole, typename Region>
+  sim::Task<void> run_vector(const std::vector<IoSlice>& slices, Whole whole,
+                             Region region, bool concurrent);
 
   // Crash-consistent unstable writes: every UNSTABLE WRITE's byte range is
   // retained (pinned in the cache) together with the server's write
@@ -373,6 +374,11 @@ class NfsClient {
   /// next data-path entry.
   sim::Task<void> ensure_layout_fresh(FileState& f);
 
+  /// Records a flight event under "nfs.client" (formatted only when the
+  /// fabric carries a flight recorder).
+  [[gnu::format(printf, 3, 4)]] void note_flight(const char* kind,
+                                                 const char* fmt, ...);
+
   // Per-data-server health (consecutive-failure circuit breaker).
   bool breaker_open(const rpc::RpcAddress& addr) const;
   void record_ds_result(const rpc::RpcAddress& addr, bool ok);
@@ -385,10 +391,12 @@ class NfsClient {
   /// breaker is open or the range overlaps its degraded (skipped-write) set.
   bool device_unhealthy(const FileState& f, size_t device,
                         uint64_t start, uint64_t end) const;
-  /// For replicated/nested layouts: redirects `slice` to a healthy device
-  /// holding the same bytes.  `avoid` is the device being routed around.
-  /// False when no healthy alternate exists.
-  bool remap_replica(const FileState& f, IoSlice& slice, size_t avoid) const;
+  /// For replicated/nested layouts: the next healthy device holding the
+  /// same bytes as `home` over [start, end), walking the mirror group from
+  /// `*step` (1 = home's successor) and advancing it past the result.
+  /// IoSlice::kMds when no healthy alternate is left.
+  size_t next_replica(const FileState& f, size_t home, size_t* step,
+                      uint64_t start, uint64_t end) const;
   /// Degraded-read rung: serve `slice` without its home DS — surviving
   /// replica / mirror-group member, or reconstruction from k surviving
   /// erasure shards.  Fills `out` and returns true on success.
@@ -402,13 +410,32 @@ class NfsClient {
   /// Records that `slice`'s bytes were not written to its device (the
   /// redundancy absorbed a terminal failure).
   void note_degraded_write(FileState& f, const IoSlice& slice);
+  /// End of the file bytes a write-back slice stands for: its own, or — for
+  /// a parity block — the whole stripe group it was computed over.
+  static uint64_t covered_end(const FileState& f, const IoSlice& slice);
+  /// Records that a COMMIT target died with unstable bytes the redundancy
+  /// holds: its retained ranges join the degraded set and it is dropped.
+  void note_degraded_commit(FileState& f, size_t device_index);
   /// Erasure-coded flush: expands dirty ranges to stripe-group boundaries,
   /// read-modify-writes missing group bytes, computes parity, and enqueues
   /// data + parity write-back.
-  sim::Task<void> flush_dirty_ec(FilePtr file, bool wait_completion);
+  sim::Task<void> flush_dirty_ec(FilePtr file);
+  /// Routes [start, end) and queues it as wsize-sized write-back extents.
+  void enqueue_range(const FilePtr& file, uint64_t start, uint64_t end,
+                     bool for_write);
   sim::Task<void> commit_unstable(FileState& f);
-  void account_valid_delta(FileState& f, int64_t delta);
+
+  // Cache accounting: every change to a file's valid or dirty set goes
+  // through these, keeping cached_bytes_ and dirty_bytes_ exact.
+  /// Stores `data` at `offset` and marks it valid.
+  void mark_valid(FileState& f, uint64_t offset, const rpc::Payload& data);
+  void mark_dirty(FileState& f, uint64_t start, uint64_t end);
+  /// Takes [start, end) out of the dirty set (write-back now owns it).
+  void claim_dirty(FileState& f, uint64_t start, uint64_t end);
+  void account_valid_delta(int64_t delta);
   void evict_clean_if_needed();
+  /// Drops every clean (unpinned) cached byte of `st`; returns how many.
+  uint64_t drop_clean(FileState& st);
   /// Drops all clean cached ranges of one file (revalidation failure).
   void invalidate_clean(FileState& st);
   sim::Task<void> readahead(FilePtr file, uint64_t from, uint64_t to);
@@ -449,7 +476,12 @@ class NfsClient {
   /// across co_await while new DSes appear).
   std::map<rpc::RpcAddress, DsSched> scheds_;
 
-  /// NIC admission gate for write-back dispatch (see wb_wire_tokens).
+  /// NIC admission gate for write-back dispatch: one transmit token.  The
+  /// NIC serializes frames, so launching every per-DS pipeline at once just
+  /// time-slices the link and bunches all completions (and the server disk
+  /// work behind them) at the tail.  A dispatch holds the token only for its
+  /// payload's estimated serialization time — never for the full RPC — so a
+  /// slow or dead DS cannot pin the gate.
   std::unique_ptr<sim::Semaphore> tx_gate_;
 
   std::map<std::string, FileHandle> dentry_cache_;
@@ -461,8 +493,7 @@ class NfsClient {
 
   ClientStats stats_;
 
-  // "client.cache" component handles, resolved once at construction (null
-  // sinks when the fabric carries no registry).
+  // "client.cache" component handles, resolved once at construction.
   obs::Counter* m_hit_bytes_;
   obs::Counter* m_miss_bytes_;
   obs::Counter* m_read_bytes_;

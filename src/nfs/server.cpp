@@ -19,21 +19,14 @@ NfsServer::NfsServer(rpc::RpcFabric& fabric, sim::Node& node, uint16_t port,
       backend_(backend),
       layouts_(layouts),
       config_(config) {
-  if (obs::MetricsRegistry* reg = fabric.metrics()) {
-    const std::string& n = node.name();
-    m_compounds_ = &reg->counter(n, "nfs.server", "compounds");
-    m_read_bytes_ = &reg->counter(n, "nfs.server", "read_bytes");
-    m_write_bytes_ = &reg->counter(n, "nfs.server", "write_bytes");
-    m_layouts_recalled_ = &reg->counter(n, "nfs.server", "layout_recalls");
-    m_delegation_recalls_ =
-        &reg->counter(n, "nfs.server", "delegation_recalls");
-  } else {
-    m_compounds_ = &obs::MetricsRegistry::null_counter();
-    m_read_bytes_ = &obs::MetricsRegistry::null_counter();
-    m_write_bytes_ = &obs::MetricsRegistry::null_counter();
-    m_layouts_recalled_ = &obs::MetricsRegistry::null_counter();
-    m_delegation_recalls_ = &obs::MetricsRegistry::null_counter();
-  }
+  obs::MetricsRegistry& reg = fabric.metrics();
+  const std::string& n = node.name();
+  m_compounds_ = &reg.counter(n, "nfs.server", "compounds");
+  m_read_bytes_ = &reg.counter(n, "nfs.server", "read_bytes");
+  m_write_bytes_ = &reg.counter(n, "nfs.server", "write_bytes");
+  m_layouts_recalled_ = &reg.counter(n, "nfs.server", "layout_recalls");
+  m_delegation_recalls_ =
+      &reg.counter(n, "nfs.server", "delegation_recalls");
   rpc_server_ = std::make_unique<rpc::RpcServer>(
       fabric, node, port, config.worker_threads,
       [this](const rpc::CallContext& ctx, XdrDecoder& args,

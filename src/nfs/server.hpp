@@ -151,8 +151,7 @@ class NfsServer {
   uint64_t delegations_granted_ = 0;
   uint64_t delegation_recalls_ = 0;
 
-  // "nfs.server" component handles, resolved once at construction (null
-  // sinks when the fabric carries no registry).
+  // "nfs.server" component handles, resolved once at construction.
   obs::Counter* m_compounds_;
   obs::Counter* m_read_bytes_;
   obs::Counter* m_write_bytes_;

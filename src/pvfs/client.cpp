@@ -30,17 +30,12 @@ PvfsClient::PvfsClient(rpc::RpcFabric& fabric, sim::Node& node,
       buffers_(fabric.simulation(), config.buffer_count),
       daemons_(storage_.size()) {
   rpc_.set_tenant(config_.tenant_id);
-  if (obs::MetricsRegistry* reg = fabric.metrics()) {
-    const std::string& n = node.name();
-    m_verifier_mismatches_ =
-        &reg->counter(n, "client.replay", "verifier_mismatches");
-    m_replayed_extents_ = &reg->counter(n, "client.replay", "replayed_extents");
-    m_replayed_bytes_ = &reg->counter(n, "client.replay", "replayed_bytes");
-  } else {
-    m_verifier_mismatches_ = &obs::MetricsRegistry::null_counter();
-    m_replayed_extents_ = &obs::MetricsRegistry::null_counter();
-    m_replayed_bytes_ = &obs::MetricsRegistry::null_counter();
-  }
+  obs::MetricsRegistry& reg = fabric.metrics();
+  const std::string& n = node.name();
+  m_verifier_mismatches_ =
+      &reg.counter(n, "client.replay", "verifier_mismatches");
+  m_replayed_extents_ = &reg.counter(n, "client.replay", "replayed_extents");
+  m_replayed_bytes_ = &reg.counter(n, "client.replay", "replayed_bytes");
 }
 
 PvfsStatus PvfsClient::reply_status(XdrDecoder& dec) {

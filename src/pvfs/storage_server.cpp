@@ -20,18 +20,12 @@ PvfsStorageServer::PvfsStorageServer(rpc::RpcFabric& fabric, sim::Node& node,
                                      StorageServerConfig config)
     : fabric_(fabric), node_(node), port_(port), store_(store),
       config_(config) {
-  if (obs::MetricsRegistry* reg = fabric.metrics()) {
-    const std::string& n = node.name();
-    m_requests_ = &reg->counter(n, "pvfs.io", "requests");
-    m_bytes_read_ = &reg->counter(n, "pvfs.io", "bytes_read");
-    m_bytes_written_ = &reg->counter(n, "pvfs.io", "bytes_written");
-    m_commits_ = &reg->counter(n, "pvfs.io", "commits");
-  } else {
-    m_requests_ = &obs::MetricsRegistry::null_counter();
-    m_bytes_read_ = &obs::MetricsRegistry::null_counter();
-    m_bytes_written_ = &obs::MetricsRegistry::null_counter();
-    m_commits_ = &obs::MetricsRegistry::null_counter();
-  }
+  obs::MetricsRegistry& reg = fabric.metrics();
+  const std::string& n = node.name();
+  m_requests_ = &reg.counter(n, "pvfs.io", "requests");
+  m_bytes_read_ = &reg.counter(n, "pvfs.io", "bytes_read");
+  m_bytes_written_ = &reg.counter(n, "pvfs.io", "bytes_written");
+  m_commits_ = &reg.counter(n, "pvfs.io", "commits");
   tracer_ = fabric.tracer();
   rpc_server_ = std::make_unique<rpc::RpcServer>(
       fabric, node, port, config.buffers,

@@ -81,8 +81,7 @@ class PvfsStorageServer {
   uint64_t boot_verifier_ = 0;
   uint64_t restarts_ = 0;
 
-  // "pvfs.io" component handles, resolved once at construction (null sinks
-  // when the fabric carries no registry).
+  // "pvfs.io" component handles, resolved once at construction.
   obs::Counter* m_requests_;
   obs::Counter* m_bytes_read_;
   obs::Counter* m_bytes_written_;

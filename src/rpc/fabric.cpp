@@ -105,24 +105,16 @@ RpcServer::RpcServer(RpcFabric& fabric, sim::Node& node, uint16_t port,
       service_(std::move(service)),
       queue_(fabric.simulation()),
       workers_done_(fabric.simulation()) {
-  if (obs::MetricsRegistry* reg = fabric_.metrics()) {
-    const std::string& n = node_.name();
-    m_requests_ = &reg->counter(n, "rpc", "requests");
-    m_bytes_in_ = &reg->counter(n, "rpc", "wire_bytes_in");
-    m_bytes_out_ = &reg->counter(n, "rpc", "wire_bytes_out");
-    m_queue_us_ =
-        &reg->histogram(n, "rpc", "queue_us", obs::latency_us_boundaries());
-    m_service_us_ =
-        &reg->histogram(n, "rpc", "service_us", obs::latency_us_boundaries());
-    m_service_digest_ = &reg->digest(n, "rpc", "service_us");
-  } else {
-    m_requests_ = &obs::MetricsRegistry::null_counter();
-    m_bytes_in_ = &obs::MetricsRegistry::null_counter();
-    m_bytes_out_ = &obs::MetricsRegistry::null_counter();
-    m_queue_us_ = &obs::MetricsRegistry::null_histogram();
-    m_service_us_ = &obs::MetricsRegistry::null_histogram();
-    m_service_digest_ = &obs::MetricsRegistry::null_digest();
-  }
+  obs::MetricsRegistry& reg = fabric_.metrics();
+  const std::string& n = node_.name();
+  m_requests_ = &reg.counter(n, "rpc", "requests");
+  m_bytes_in_ = &reg.counter(n, "rpc", "wire_bytes_in");
+  m_bytes_out_ = &reg.counter(n, "rpc", "wire_bytes_out");
+  m_queue_us_ =
+      &reg.histogram(n, "rpc", "queue_us", obs::latency_us_boundaries());
+  m_service_us_ =
+      &reg.histogram(n, "rpc", "service_us", obs::latency_us_boundaries());
+  m_service_digest_ = &reg.digest(n, "rpc", "service_us");
   fabric_.bind(address(), this);
 }
 

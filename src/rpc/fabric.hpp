@@ -109,12 +109,14 @@ class RpcFabric {
 
   /// Attaches metrics/tracing.  Must be called before servers or clients
   /// that should be instrumented are constructed — they resolve their
-  /// metric handles once, at construction.  Either pointer may be null.
+  /// metric handles once, at construction.  Either pointer may be null; a
+  /// null registry keeps the fabric's own, which nothing exports.
   void set_observability(obs::MetricsRegistry* metrics, obs::Tracer* tracer) {
-    metrics_ = metrics;
+    metrics_ = metrics != nullptr ? metrics : &own_metrics_;
     tracer_ = tracer;
   }
-  obs::MetricsRegistry* metrics() const noexcept { return metrics_; }
+  /// Always valid: daemons and clients resolve their handles here.
+  obs::MetricsRegistry& metrics() const noexcept { return *metrics_; }
   obs::Tracer* tracer() const noexcept { return tracer_; }
 
   /// Attaches per-tenant accounting and the flight recorder (either may be
@@ -167,7 +169,8 @@ class RpcFabric {
   sim::Network& net_;
   uint64_t overhead_;
   std::map<RpcAddress, RpcServer*> servers_;
-  obs::MetricsRegistry* metrics_ = nullptr;
+  obs::MetricsRegistry own_metrics_;
+  obs::MetricsRegistry* metrics_ = &own_metrics_;
   obs::Tracer* tracer_ = nullptr;
   obs::TenantLedger* tenants_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;
@@ -219,8 +222,7 @@ class RpcServer {
   bool started_ = false;
   uint64_t requests_served_ = 0;
   sim::Duration queue_wait_total_ = 0;
-  // Per-node "rpc" component handles, resolved once at construction (null
-  // sinks when the fabric carries no registry).
+  // Per-node "rpc" component handles, resolved once at construction.
   obs::Counter* m_requests_;
   obs::Counter* m_bytes_in_;
   obs::Counter* m_bytes_out_;

@@ -7,8 +7,10 @@
 //    (node, component, name), e.g. ("storage2", "pvfs.io", "bytes_written").
 //    Handles are resolved once at setup time and are stable for the life of
 //    the registry, so hot paths pay only a pointer-indirect increment.
-//    Components not wired to a registry use the static null sinks — updates
-//    stay branch-free and land in throwaway storage.
+//    Every `rpc::RpcFabric` carries a registry (its own until one is
+//    attached), so daemons and clients always resolve real handles; the
+//    static null sinks serve the layout sources until `attach_metrics` —
+//    updates stay branch-free and land in throwaway storage.
 //
 //  - `Tracer` assigns trace/span ids to RPCs.  The client span id crosses
 //    the wire in `rpc::CallHeader`; servers open child spans, so a single
@@ -145,8 +147,8 @@ class MetricsRegistry {
   /// Human-readable per-node report (one line per metric).
   std::string report() const;
 
-  /// Shared sinks for components constructed without a registry: always
-  /// valid, never read.  Updates are as cheap as the real thing, so
+  /// Shared sinks for components that update metrics before a registry is
+  /// bound to them: always valid, never read.  Updates are as cheap as the real thing, so
   /// instrumented code needs no per-operation branches.
   static Counter& null_counter();
   static Gauge& null_gauge();

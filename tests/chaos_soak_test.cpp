@@ -213,15 +213,15 @@ ChaosOutcome run_chaos(core::Architecture arch, uint64_t seed) {
   cfg.clients = kWriters + 1;  // 3 writers + 1 cold-cache verifier
   cfg.three_tier_data_servers = 2;
 
-  // Restart-recovery posture (mirrors `simulate --chaos-seed`): bounded
-  // per-RPC deadlines, generous retry ladders, an MDS grace window, and
-  // COMMITs deferred so unstable data is genuinely exposed to the crashes.
-  cfg.nfs_client.ds_timeout = sim::ms(250);
-  cfg.nfs_client.ds_rpc_retries = 8;
-  cfg.nfs_client.slice_retries = 4;
-  cfg.nfs_client.breaker_threshold = 4;
-  cfg.nfs_client.breaker_reset = sim::ms(500);
-  cfg.nfs_client.mds_timeout = sim::ms(500);
+  // Restart-recovery posture (as `simulate --chaos-seed`), an MDS grace
+  // window, and COMMITs deferred so unstable data is genuinely exposed to
+  // the crashes.  On Direct-pNFS the posture also turns MDS fallback off: a
+  // DS and the co-located PVFS daemon share one object store but carry
+  // independent boot verifiers, so MDS-fallback writes landed during a DS
+  // outage would be destroyed undetectably by the DS's revive-time dirty
+  // drop.  Replay-through-retry is the only loss-proof recovery path under
+  // restart faults (docs/failures.md).
+  core::ride_out_restarts(cfg);
   cfg.nfs_client.wb_commit_backlog = 16_MiB;
   // Chunk-sized WRITEs stream out the moment the application writes them,
   // so every architecture continuously holds unstable extents for the
@@ -229,24 +229,12 @@ ChaosOutcome run_chaos(core::Architecture arch, uint64_t seed) {
   // fsync itself, shrinking the WRITE->COMMIT exposure to microseconds).
   cfg.nfs_client.wsize = static_cast<uint32_t>(kChunk);
   cfg.mds_grace_period = sim::ms(100);
-  cfg.pvfs_client.io_timeout = sim::ms(250);
-  cfg.pvfs_client.io_retries = 10;
-  cfg.pvfs_client.meta_timeout = sim::ms(500);
-  cfg.pvfs_client.meta_retries = 6;
   // Head-sample half the traces (seeded => bit-reproducible) and tail-keep
   // anything slow or errored: the soak doubles as the proof that sampling
   // never perturbs simulation outcomes or its own determinism under chaos.
   cfg.trace_sample_rate = 0.5;
   cfg.trace_sample_seed = seed;
   cfg.trace_slo_threshold = sim::ms(400);
-  if (arch == core::Architecture::kDirectPnfs) {
-    // A Direct-pNFS DS and the co-located PVFS daemon share one object
-    // store but carry independent boot verifiers: MDS-fallback writes
-    // landed during a DS outage would be destroyed undetectably by the
-    // DS's revive-time dirty drop.  Replay-through-retry is the only
-    // loss-proof recovery path under restart faults (docs/failures.md).
-    cfg.nfs_client.mds_fallback = false;
-  }
 
   // Five non-overlapping restart windows in 600 ms slots (start jitter
   // < 120 ms, duration < 400 ms), so even same-target windows — plain NFS

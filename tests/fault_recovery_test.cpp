@@ -4,9 +4,11 @@
 // retries, layout re-fetch, and MDS fallback — with byte-identical data),
 // RPC deadlines that expire instead of hanging, retries appearing as child
 // spans of one trace, whole-node crash + revive, a layout recall racing
-// in-flight recovery, and disk faults surfacing as I/O errors.
+// in-flight recovery, disk faults surfacing as I/O errors, and the recovery
+// ladder pinned rung by rung for READ, WRITE and COMMIT.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -128,6 +130,139 @@ TEST(FaultRecovery, DsCrashScenarioIsDeterministic) {
   EXPECT_EQ(a.writer.mds_fallbacks, b.writer.mds_fallbacks);
   EXPECT_EQ(a.writer.breaker_trips, b.writer.breaker_trips);
   EXPECT_EQ(a.writer.layout_refetches, b.writer.layout_refetches);
+}
+
+// ---------------------------------------------------------------------------
+// The recovery ladder, rung by rung: {READ, WRITE, COMMIT} x MDS fallback
+// ---------------------------------------------------------------------------
+
+enum class LadderOp { kRead, kWrite, kCommit };
+
+struct LadderOutcome {
+  std::string result;  ///< "ok", "corrupt", or the NfsError's status name
+  sim::Time finished = 0;
+  nfs::ClientStats stats{};  ///< of the client that ran the op
+  std::string kinds;         ///< "kind=count ..." of nfs.client flight events
+};
+
+/// Non-redundant Direct-pNFS with storage1's NFS daemon dead from 1 s on.
+/// Client 0 writes 8 MiB (one 2 MiB stripe chunk per DS) before the crash --
+/// closed for READ, committed for WRITE, left unstable for COMMIT; then,
+/// after the crash:
+///   READ   -- client 1 reads the file back cold;
+///   WRITE  -- client 0 rewrites the file and fsyncs;
+///   COMMIT -- client 0 fsyncs the still-unstable first write.
+LadderOutcome run_ladder_case(LadderOp op, bool mds_fallback) {
+  constexpr sim::Time kCrashAt = sim::sec(1);
+  constexpr uint64_t kBytes = 8_MiB;
+  core::ClusterConfig cfg;
+  cfg.architecture = core::Architecture::kDirectPnfs;
+  cfg.storage_nodes = 4;
+  cfg.clients = 2;
+  // The deadline sits above healthy queueing: only the dead DS fails.
+  cfg.nfs_client.ds_timeout = sim::ms(250);
+  cfg.nfs_client.ds_rpc_retries = 1;
+  cfg.nfs_client.slice_retries = 1;
+  cfg.nfs_client.breaker_threshold = 2;
+  cfg.nfs_client.breaker_reset = sim::sec(60);
+  cfg.nfs_client.wb_commit_backlog = 0;  // fsync is the only COMMIT source
+  cfg.nfs_client.mds_fallback = mds_fallback;
+  cfg.faults.crash_service(1, rpc::kNfsPort, kCrashAt);
+
+  core::Deployment d(cfg);
+  LadderOutcome out;
+  d.simulation().spawn([](core::Deployment& d, LadderOp op, LadderOutcome& out,
+                          sim::Time crash_at, uint64_t bytes) -> Task<void> {
+    auto& sim = d.simulation();
+    co_await d.mount_all();
+    auto f = co_await d.client(0).open("/f", true);
+    co_await f->write(0, pattern_payload(0, bytes));
+    if (op == LadderOp::kWrite) co_await f->fsync();
+    if (op == LadderOp::kRead) co_await f->close();
+    if (sim.now() >= crash_at) {
+      out.result = "setup outlasted the crash";
+      co_return;
+    }
+    co_await sim.delay(crash_at + sim::ms(10) - sim.now());
+    try {
+      switch (op) {
+        case LadderOp::kRead: {
+          auto g = co_await d.client(1).open_read("/f");
+          Payload back = co_await g->read(0, bytes);
+          out.result = back == pattern_payload(0, bytes) ? "ok" : "corrupt";
+          break;
+        }
+        case LadderOp::kWrite:
+          co_await f->write(0, pattern_payload(0, bytes));
+          co_await f->fsync();
+          out.result = "ok";
+          break;
+        case LadderOp::kCommit:
+          co_await f->fsync();
+          out.result = "ok";
+          break;
+      }
+    } catch (const nfs::NfsError& e) {
+      out.result = nfs::status_name(e.status());
+    }
+    out.finished = sim.now();
+  }(d, op, out, kCrashAt, kBytes));
+  d.simulation().run();
+
+  out.stats = dynamic_cast<core::NfsFileSystemClient&>(
+                  d.client(op == LadderOp::kRead ? 1 : 0))
+                  .native()
+                  .stats();
+  std::map<std::string, int> kinds;
+  for (const auto& e : d.flight().events()) {
+    if (e.component == "nfs.client") ++kinds[e.kind];
+  }
+  for (const auto& [kind, n] : kinds) {
+    out.kinds += (out.kinds.empty() ? "" : " ") + kind + "=" + std::to_string(n);
+  }
+  return out;
+}
+
+TEST(FaultRecovery, LadderMatrix) {
+  struct Case {
+    LadderOp op;
+    bool mds_fallback;
+    const char* result;
+    sim::Time finished;
+    uint64_t retries, fallbacks, trips, refetches;
+    const char* kinds;
+  };
+  const Case cases[] = {
+      // Retry, trip, re-fetch, then the MDS serves the bytes.
+      {LadderOp::kRead, true, "ok", 2358209969, 1, 1, 1, 1,
+       "breaker.trip=1 layout.refetch=1 log.warn=1"},
+      {LadderOp::kRead, false, "CLIENT_TIMED_OUT", 2262008808, 1, 0, 1, 0,
+       "breaker.trip=1 log.warn=1"},
+      {LadderOp::kWrite, true, "ok", 2529232870, 1, 1, 1, 1,
+       "breaker.trip=1 layout.refetch=1 log.warn=1"},
+      // fsync re-drives the failed write-back until its round budget runs out.
+      {LadderOp::kWrite, false, "NFS4ERR_IO", 9111320512, 1, 0, 1, 0,
+       "breaker.trip=1 log.warn=1"},
+      // COMMIT falls back without a re-fetch; the MDS verifier never matches,
+      // so the retained chunk replays -- through the MDS, the breaker open.
+      {LadderOp::kCommit, true, "ok", 2414656481, 1, 2, 1, 0,
+       "breaker.trip=1 log.warn=2 mds.fallback=1 wb.replay=1"},
+      {LadderOp::kCommit, false, "CLIENT_TIMED_OUT", 8638314152, 1, 0, 1, 0,
+       "breaker.trip=1 log.warn=1"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(::testing::Message()
+                 << "op " << static_cast<int>(c.op) << " mds_fallback "
+                 << c.mds_fallback);
+    const LadderOutcome out = run_ladder_case(c.op, c.mds_fallback);
+    EXPECT_EQ(out.result, c.result);
+    EXPECT_EQ(out.finished, c.finished);
+    EXPECT_EQ(out.stats.recovery_retries, c.retries);
+    EXPECT_EQ(out.stats.mds_fallbacks, c.fallbacks);
+    EXPECT_EQ(out.stats.breaker_trips, c.trips);
+    EXPECT_EQ(out.stats.layout_refetches, c.refetches);
+    EXPECT_EQ(out.kinds, c.kinds);
+  }
 }
 
 // ---------------------------------------------------------------------------

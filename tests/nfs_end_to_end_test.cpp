@@ -85,7 +85,7 @@ TEST(NfsEndToEnd, CreateWriteReadBack) {
     EXPECT_EQ(p, Payload::from_string("hello nfs"));
     co_await f.client->close(file);
   }(f));
-  // The server must actually hold the data after close (commit_on_close).
+  // The server must actually hold the data after close (close commits).
   EXPECT_EQ(f.store.dirty_bytes(), 0u);
 }
 

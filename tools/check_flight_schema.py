@@ -22,7 +22,10 @@ Usage:
        event plus some client-side recovery event.  Then runs a permanent
        data-server kill under 2-way replication with a spare and requires
        the full loss ladder on record: ds.declared_dead, rebuild.start,
-       rebuild.complete, plus a degraded.read/write/commit client event)
+       rebuild.complete, plus a degraded.read/write/commit client event.
+       Last, crashes one non-redundant data server mid-write, twice, and
+       requires the ladder's MDS rung on record: breaker.trip, mds.fallback
+       and layout.refetch)
 """
 
 import json
@@ -141,6 +144,17 @@ def run_kill(simulate, out):
         check=True, stdout=subprocess.DEVNULL)
 
 
+def run_crash(simulate, out):
+    # A non-redundant Direct-pNFS data server dies mid-write for good: the
+    # WRITE ladder trips the breaker, re-fetches the layout and reissues
+    # through the MDS (docs/failures.md).
+    subprocess.run(
+        [simulate, "--arch=direct", "--workload=ior-write", "--clients=4",
+         "--fault-ds-crash=1", "--fault-at-ms=500", "--bytes=32000000",
+         f"--flight-out={out}"],
+        check=True, stdout=subprocess.DEVNULL)
+
+
 def main(argv):
     files = []
     i = 1
@@ -200,6 +214,24 @@ def main(argv):
                     "client event (kinds seen: "
                     f"{sorted(k for k in kill_kinds if k)})")
             files.append(kill_a)
+
+            # DS crash without redundancy: the MDS-fallback rung.
+            crash_a = os.path.join(tmp, "crash_a.json")
+            crash_b = os.path.join(tmp, "crash_b.json")
+            run_crash(simulate, crash_a)
+            run_crash(simulate, crash_b)
+            with open(crash_a, "rb") as fa, open(crash_b, "rb") as fb:
+                if fa.read() != fb.read():
+                    err(crash_a, "two DS-crash runs produced different "
+                                 "dumps: determinism contract broken")
+            crash_kinds = {ev.get("kind") for ev in check_file(crash_a)
+                           if isinstance(ev, dict)}
+            for kind in ("breaker.trip", "mds.fallback", "layout.refetch"):
+                if kind not in crash_kinds:
+                    err(crash_a, f"DS-crash run recorded no '{kind}' event "
+                        f"(kinds seen: "
+                        f"{sorted(k for k in crash_kinds if k)})")
+            files.append(crash_a)
         else:
             check_file(argv[i])
             files.append(argv[i])
