@@ -34,12 +34,14 @@ struct CaseResult {
 CaseResult run_case(bool listio, uint32_t clients, uint32_t records,
                     uint32_t checkpoints, uint32_t max_regions) {
   core::ClusterConfig cfg = paper_config(Architecture::kDirectPnfs, clients);
-  cfg.listio_enabled = listio;
   // 16 regions per WRITEV is the sweet spot on this cluster: enough to
   // amortize the per-RPC cost, small enough that several WRITEVs stay in
   // flight per DS and keep the wire and server CPU overlapped (run
-  // --sweep-regions to reproduce the tradeoff).
-  cfg.listio_max_regions = max_regions;
+  // --sweep-regions to reproduce the tradeoff).  One region is list I/O
+  // off: every record goes out as its own WRITE.
+  const uint32_t regions = listio ? max_regions : 1;
+  cfg.nfs_client.listio_max_regions = regions;
+  cfg.pvfs_client.listio_max_regions = regions;
   // SSD-class disks: COMMIT-time flush seek order otherwise dominates the
   // timing and drowns the per-RPC protocol cost this ablation isolates.
   cfg.disk.bytes_per_sec = 500e6;

@@ -99,9 +99,10 @@ int main(int argc, char** argv) {
         "--no-listio disables vectored (list) I/O: every region goes out as\n"
         "its own single-range READ/WRITE (kRead/kWrite on the PVFS wire);\n"
         "--listio-max-regions=N caps the regions folded into one vectored\n"
-        "request (default 64).  The strided workload is the showcase:\n"
-        "--workload=strided interleaves per-client records so each client's\n"
-        "dirty extents are non-adjacent (see EXPERIMENTS.md).\n"
+        "request (default 64; 1 is the same as --no-listio).  The strided\n"
+        "workload is the showcase: --workload=strided interleaves\n"
+        "per-client records so each client's dirty extents are\n"
+        "non-adjacent (see EXPERIMENTS.md).\n"
         "\n"
         "--fault-ds-crash=N kills the NFS data-server daemon on storage\n"
         "node N (and enables the client recovery knobs, see\n"
@@ -192,9 +193,15 @@ int main(int argc, char** argv) {
   cfg.nfs_client.wb_window_per_ds = static_cast<uint32_t>(std::max(
       1, std::atoi(arg_value(argc, argv, "--wb-window-per-ds", "8"))));
   if (flag(argc, argv, "--no-coalesce")) cfg.nfs_client.coalesce_writes = false;
-  if (flag(argc, argv, "--no-listio")) cfg.listio_enabled = false;
-  cfg.listio_max_regions = static_cast<uint32_t>(std::max(
-      1, std::atoi(arg_value(argc, argv, "--listio-max-regions", "64"))));
+  // One region per request is list I/O off.
+  const uint32_t listio_regions =
+      flag(argc, argv, "--no-listio")
+          ? 1
+          : static_cast<uint32_t>(std::max(
+                1, std::atoi(arg_value(argc, argv, "--listio-max-regions",
+                                       "64"))));
+  cfg.nfs_client.listio_max_regions = listio_regions;
+  cfg.pvfs_client.listio_max_regions = listio_regions;
 
   const std::string trace_out = arg_value(argc, argv, "--trace-out", "");
   const bool breakdown = flag(argc, argv, "--breakdown");

@@ -10,9 +10,9 @@
 // This decorator reproduces that prototype artifact: every data operation
 // crosses a bounded buffer pool and pays a kernel/daemon crossing cost plus
 // a loopback copy.  It explains why the paper's Direct-pNFS trails PVFS2
-// slightly on 8-client single-file reads (Fig 7b).  Disable it
-// (`ClusterConfig::direct_ds_conduit = false`) to model a data server with
-// true direct VFS access — the architecture's intended end state.
+// slightly on 8-client single-file reads (Fig 7b).  The 2-/3-tier data
+// servers reuse it with a one-buffer pool for their kernel-client traversal
+// (core::Deployment).
 #pragma once
 
 #include "nfs/backend.hpp"
@@ -20,19 +20,11 @@
 
 namespace dpnfs::core {
 
-struct ConduitParams {
-  uint32_t buffers = 8;                       ///< fixed transfer-buffer pool
-  sim::Duration cpu_per_request = sim::us(150);
-  double loopback_bytes_per_sec = 1.5e9;      ///< same-node copy bandwidth
-};
-
 class ConduitBackend final : public nfs::Backend {
  public:
-  ConduitBackend(nfs::Backend& inner, sim::Node& node, ConduitParams params)
-      : inner_(inner),
-        node_(node),
-        params_(params),
-        pool_(node.simulation(), params.buffers) {}
+  /// `buffers` is the fixed transfer-buffer pool every data op crosses.
+  ConduitBackend(nfs::Backend& inner, sim::Node& node, uint32_t buffers)
+      : inner_(inner), node_(node), pool_(node.simulation(), buffers) {}
 
   nfs::FileHandle root_fh() const override { return inner_.root_fh(); }
 
@@ -108,18 +100,20 @@ class ConduitBackend final : public nfs::Backend {
   void on_server_restart() override { inner_.on_server_restart(); }
 
  private:
+  static constexpr sim::Duration kCpuPerCrossing = sim::us(150);
+  static constexpr double kLoopbackBytesPerSec = 1.5e9;  ///< same-node copy
+
   /// One kernel<->daemon crossing: fixed CPU plus a loopback copy.
   sim::Task<void> cross(uint64_t bytes) {
-    co_await node_.cpu().execute(params_.cpu_per_request);
+    co_await node_.cpu().execute(kCpuPerCrossing);
     if (bytes > 0) {
       co_await node_.simulation().delay(
-          sim::duration_for_bytes(bytes, params_.loopback_bytes_per_sec));
+          sim::duration_for_bytes(bytes, kLoopbackBytesPerSec));
     }
   }
 
   nfs::Backend& inner_;
   sim::Node& node_;
-  ConduitParams params_;
   sim::Semaphore pool_;
 };
 

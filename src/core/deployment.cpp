@@ -5,6 +5,7 @@
 #include <map>
 #include <stdexcept>
 
+#include "core/conduit_backend.hpp"
 #include "util/bytes.hpp"
 #include "util/format.hpp"
 #include "util/rng.hpp"
@@ -12,6 +13,43 @@
 namespace dpnfs::core {
 
 using sim::Task;
+
+namespace {
+
+/// Every box in the testbed, server or client, is a dual-processor node.
+constexpr sim::CpuParams kNodeCpu{.cores = 2};
+
+/// 3-tier consolidates 6 disks behind 3 nodes; two disks per node do not
+/// double bandwidth (paper §6.2) — this factor models the shortfall.
+constexpr double kThreeTierDiskScale = 1.6;
+
+/// Extra per-byte CPU for *server-side* PVFS clients: an NFS server box
+/// that re-exports the parallel FS pays for a second full data copy
+/// through the kernel/daemon boundary on the same machine.  This is the
+/// per-box ceiling that makes the 2-/3-tier data servers and the plain
+/// NFSv4 server CPU-limited in the paper — and that Direct-pNFS bypasses
+/// by serving stripe objects locally.
+constexpr double kProxyExtraCpuNsPerByte = 24.0;
+
+/// The prototype's loopback conduit on Direct-pNFS data servers (Figure 5:
+/// the PVFS2 client ferries data between the NFSv4 server and the local
+/// storage daemon through a fixed buffer pool).
+constexpr uint32_t kDirectConduitBuffers = 8;
+
+/// The 2-/3-tier data servers re-export PVFS through the *kernel* client:
+/// every data op funnels through the pvfs2 kernel module's single upcall
+/// queue to the user-level client daemon, and an nfsd thread's synchronous
+/// VFS write pins that crossing for the full (mostly remote) PVFS round
+/// trip.  One buffer models the serialized traversal — the intermediate
+/// file system overhead §6.2 blames for pNFS-2tier losing half its
+/// bandwidth on a slow network, and which Direct-pNFS eliminates.
+constexpr uint32_t kVfsConduitBuffers = 1;
+
+/// Per-node RPC queue depth (summed over the daemons a node hosts) at or
+/// above which the health evaluator reports the node "degraded".
+constexpr double kHealthQueueThreshold = 64;
+
+}  // namespace
 
 void ride_out_restarts(ClusterConfig& cfg) {
   cfg.nfs_client.ds_timeout = sim::ms(250);
@@ -52,11 +90,7 @@ const char* architecture_name(Architecture a) {
 }
 
 Deployment::Deployment(ClusterConfig config)
-    : config_(std::move(config)),
-      net_(sim_, config_.network),
-      tenants_ledger_(config_.tenant_topk),
-      flight_(config_.flight_capacity),
-      fabric_(net_) {
+    : config_(std::move(config)), net_(sim_), fabric_(net_) {
   // Before any server/client is constructed: they resolve their metric
   // handles from the fabric at construction time.
   tracer_.set_span_capacity(config_.trace_span_capacity);
@@ -85,16 +119,6 @@ Deployment::Deployment(ClusterConfig config)
     fault_injector_ = std::make_unique<sim::FaultInjector>(config_.faults);
     net_.set_fault_injector(fault_injector_.get());
   }
-  config_.pvfs_meta.stripe_unit = config_.stripe_unit;
-  config_.pvfs_meta.distribution = config_.distribution;
-  config_.pvfs_meta.replicas = config_.replicas;
-  config_.pvfs_meta.ec_k = config_.ec_k;
-  config_.pvfs_meta.ec_m = config_.ec_m;
-  config_.pvfs_meta.spare_nodes = config_.spare_nodes;
-  config_.nfs_client.listio_enabled = config_.listio_enabled;
-  config_.nfs_client.listio_max_regions = config_.listio_max_regions;
-  config_.pvfs_client.listio_enabled = config_.listio_enabled;
-  config_.pvfs_client.listio_max_regions = config_.listio_max_regions;
   registry_ = std::make_shared<FhRegistry>();
   aggregations_ = std::make_shared<const nfs::AggregationRegistry>(
       full_aggregation_registry());
@@ -128,18 +152,22 @@ void Deployment::build_backend_cluster(uint32_t storage_count,
         .name = "storage" + std::to_string(i),
         .nic = config_.nic,
         .disk = disk,
-        .cpu = config_.server_cpu});
+        .cpu = kNodeCpu});
     storage_nodes_.push_back(&node);
-    stores_.push_back(std::make_unique<lfs::ObjectStore>(node, config_.store));
+    stores_.push_back(std::make_unique<lfs::ObjectStore>(node));
     pvfs_storage_.push_back(std::make_unique<pvfs::PvfsStorageServer>(
-        fabric_, node, rpc::kPvfsIoPort, *stores_.back(),
-        config_.pvfs_storage));
+        fabric_, node, rpc::kPvfsIoPort, *stores_.back()));
     pvfs_storage_.back()->start();
   }
   // Metadata manager doubles on storage node 0 (paper §6.1).
   pvfs_meta_ = std::make_unique<pvfs::PvfsMetaServer>(
       fabric_, *storage_nodes_[0], rpc::kPvfsMetaPort, storage_count,
-      config_.pvfs_meta);
+      pvfs::MetaServerConfig{.stripe_unit = config_.stripe_unit,
+                             .distribution = config_.distribution,
+                             .replicas = config_.replicas,
+                             .ec_k = config_.ec_k,
+                             .ec_m = config_.ec_m,
+                             .spare_nodes = config_.spare_nodes});
   pvfs_meta_->start();
   // Rebuild service co-located with the metadata manager.  It monitors the
   // injector's liveness view, so fault-free runs never construct one.
@@ -154,7 +182,7 @@ sim::Node& Deployment::add_client_node(const std::string& name) {
   auto& node = net_.add_node(sim::NodeParams{.name = name,
                                              .nic = config_.nic,
                                              .disk = std::nullopt,
-                                             .cpu = config_.client_cpu});
+                                             .cpu = kNodeCpu});
   client_nodes_.push_back(&node);
   return node;
 }
@@ -171,7 +199,7 @@ std::unique_ptr<pvfs::PvfsClient> Deployment::make_pvfs_client(
   // Server-side proxies (NFS servers re-exporting the PFS) pay the extra
   // same-box copy cost.
   pvfs::PvfsClientConfig cfg = config_.pvfs_client;
-  if (proxy) cfg.cpu_ns_per_byte += config_.proxy_extra_cpu_ns_per_byte;
+  if (proxy) cfg.cpu_ns_per_byte += kProxyExtraCpuNsPerByte;
   cfg.tenant_id = tenant;
   return std::make_unique<pvfs::PvfsClient>(fabric_, node,
                                             pvfs_meta_->address(),
@@ -198,41 +226,47 @@ void Deployment::add_nfs_clients(rpc::RpcAddress mds, bool pnfs_enabled) {
 // Architectures
 // ---------------------------------------------------------------------------
 
-nfs::ServerConfig Deployment::mds_server_config() const {
-  nfs::ServerConfig scfg = config_.nfs_server;
+nfs::DeviceEntry Deployment::add_data_server(
+    sim::Node& node, std::unique_ptr<nfs::Backend> inner,
+    uint32_t conduit_buffers, uint32_t device) {
+  auto conduit =
+      std::make_unique<ConduitBackend>(*inner, node, conduit_buffers);
+  nfs::ServerConfig scfg;
+  scfg.is_data_server = true;
+  nfs_servers_.push_back(std::make_unique<nfs::NfsServer>(
+      fabric_, node, rpc::kNfsPort, *conduit, nullptr, scfg));
+  nfs_servers_.back()->start();
+  backends_.push_back(std::move(inner));
+  backends_.push_back(std::move(conduit));
+  return nfs::DeviceEntry{nfs::DeviceId{device}, node.id(), rpc::kNfsPort};
+}
+
+rpc::RpcAddress Deployment::start_mds(sim::Node& node, uint16_t port,
+                                      std::unique_ptr<nfs::Backend> backend,
+                                      nfs::LayoutSource* layouts) {
+  nfs::ServerConfig scfg;
   scfg.grace_period = config_.mds_grace_period;
-  return scfg;
+  nfs_servers_.push_back(std::make_unique<nfs::NfsServer>(
+      fabric_, node, port, *backend, layouts, scfg));
+  nfs_servers_.back()->start();
+  backends_.push_back(std::move(backend));
+  return nfs_servers_.back()->address();
 }
 
 void Deployment::build_direct_pnfs() {
   build_backend_cluster(config_.storage_nodes, 1.0);
 
   // NFSv4.1 data server on every storage node, exporting the local stripe
-  // objects directly (filehandle == stripe-object id, per the translator).
+  // objects directly (filehandle == stripe-object id, per the translator)
+  // through the prototype's loopback conduit.
   std::vector<nfs::DeviceEntry> devices;
   for (uint32_t i = 0; i < config_.storage_nodes; ++i) {
     auto local =
         std::make_unique<nfs::LocalBackend>(*stores_[i], /*flat=*/true);
     local->attach_tracer(&tracer_, storage_nodes_[i]->name());
     local->attach_tenants(&tenants_ledger_);
-    nfs::Backend* exported = local.get();
-    std::unique_ptr<ConduitBackend> conduit;
-    if (config_.direct_ds_conduit) {
-      // Figure 5 fidelity: the prototype data server reaches its stripe
-      // objects through the local PVFS2 client/daemon buffer pool.
-      conduit = std::make_unique<ConduitBackend>(*local, *storage_nodes_[i],
-                                                 config_.conduit);
-      exported = conduit.get();
-    }
-    nfs::ServerConfig scfg = config_.nfs_server;
-    scfg.is_data_server = true;
-    nfs_servers_.push_back(std::make_unique<nfs::NfsServer>(
-        fabric_, *storage_nodes_[i], rpc::kNfsPort, *exported, nullptr, scfg));
-    nfs_servers_.back()->start();
-    backends_.push_back(std::move(local));
-    if (conduit) backends_.push_back(std::move(conduit));
-    devices.push_back(nfs::DeviceEntry{nfs::DeviceId{i},
-                                       storage_nodes_[i]->id(), rpc::kNfsPort});
+    devices.push_back(add_data_server(*storage_nodes_[i], std::move(local),
+                                      kDirectConduitBuffers, i));
   }
 
   // MDS co-located with the PVFS metadata manager on storage node 0.  Its
@@ -250,14 +284,9 @@ void Deployment::build_direct_pnfs() {
                                                    registry_);
   translator_ = std::make_unique<LayoutTranslator>(*mds_backend, devices);
   translator_->attach_metrics(metrics_, storage_nodes_[0]->name());
-  nfs_servers_.push_back(std::make_unique<nfs::NfsServer>(
-      fabric_, *storage_nodes_[0], kMdsPort, *mds_backend, translator_.get(),
-      mds_server_config()));
-  nfs_servers_.back()->start();
-  const rpc::RpcAddress mds = nfs_servers_.back()->address();
-  backends_.push_back(std::move(mds_backend));
-
-  add_nfs_clients(mds, /*pnfs_enabled=*/true);
+  add_nfs_clients(start_mds(*storage_nodes_[0], kMdsPort,
+                            std::move(mds_backend), translator_.get()),
+                  /*pnfs_enabled=*/true);
 }
 
 void Deployment::build_native_pvfs() {
@@ -278,29 +307,21 @@ void Deployment::build_pnfs_2tier() {
   // Data servers co-located with the storage nodes, but each exports the
   // *whole* file system through a PVFS client; the synthetic layout has no
   // placement knowledge, so ~(N-1)/N of each DS's traffic is remote.
+  // These data servers reach PVFS through the kernel client, so every data
+  // op crosses the kernel<->daemon boundary serialized by the module's
+  // upcall queue, pinned across a (mostly remote) PVFS round trip.  This
+  // intermediate-file-system traversal is exactly the overhead the paper
+  // says Direct-pNFS eliminates (§5, Figure 5).
   std::vector<nfs::DeviceEntry> devices;
   for (uint32_t i = 0; i < config_.storage_nodes; ++i) {
     server_pvfs_clients_.push_back(make_pvfs_client(
         *storage_nodes_[i], "ds" + std::to_string(i) + "@SIM", true));
-    auto backend = std::make_unique<PvfsBackend>(
-        *server_pvfs_clients_.back(), registry_,
-        StripeView{config_.stripe_unit, config_.storage_nodes, i});
-    // These data servers reach PVFS through the kernel client, so every
-    // data op crosses the kernel<->daemon boundary serialized by the
-    // module's upcall queue, pinned across a (mostly remote) PVFS round
-    // trip.  This intermediate-file-system traversal is exactly the
-    // overhead the paper says Direct-pNFS eliminates (§5, Figure 5).
-    auto conduit = std::make_unique<ConduitBackend>(
-        *backend, *storage_nodes_[i], config_.vfs_conduit);
-    nfs::ServerConfig scfg = config_.nfs_server;
-    scfg.is_data_server = true;
-    nfs_servers_.push_back(std::make_unique<nfs::NfsServer>(
-        fabric_, *storage_nodes_[i], rpc::kNfsPort, *conduit, nullptr, scfg));
-    nfs_servers_.back()->start();
-    backends_.push_back(std::move(backend));
-    backends_.push_back(std::move(conduit));
-    devices.push_back(nfs::DeviceEntry{nfs::DeviceId{i},
-                                       storage_nodes_[i]->id(), rpc::kNfsPort});
+    devices.push_back(add_data_server(
+        *storage_nodes_[i],
+        std::make_unique<PvfsBackend>(
+            *server_pvfs_clients_.back(), registry_,
+            StripeView{config_.stripe_unit, config_.storage_nodes, i}),
+        kVfsConduitBuffers, i));
   }
 
   server_pvfs_clients_.push_back(
@@ -310,14 +331,9 @@ void Deployment::build_pnfs_2tier() {
   synthetic_layouts_ =
       std::make_unique<SyntheticLayoutSource>(devices, config_.stripe_unit);
   synthetic_layouts_->attach_metrics(metrics_, storage_nodes_[0]->name());
-  nfs_servers_.push_back(std::make_unique<nfs::NfsServer>(
-      fabric_, *storage_nodes_[0], kMdsPort, *mds_backend,
-      synthetic_layouts_.get(), mds_server_config()));
-  nfs_servers_.back()->start();
-  const rpc::RpcAddress mds = nfs_servers_.back()->address();
-  backends_.push_back(std::move(mds_backend));
-
-  add_nfs_clients(mds, /*pnfs_enabled=*/true);
+  add_nfs_clients(start_mds(*storage_nodes_[0], kMdsPort,
+                            std::move(mds_backend), synthetic_layouts_.get()),
+                  /*pnfs_enabled=*/true);
 }
 
 void Deployment::build_pnfs_3tier() {
@@ -325,7 +341,7 @@ void Deployment::build_pnfs_3tier() {
   // dedicated NFS data servers in front of them.
   const uint32_t storage_count = config_.storage_nodes / 2;
   const uint32_t ds_count = config_.three_tier_data_servers;
-  build_backend_cluster(storage_count, config_.three_tier_disk_scale);
+  build_backend_cluster(storage_count, kThreeTierDiskScale);
 
   std::vector<nfs::DeviceEntry> devices;
   std::vector<sim::Node*> ds_nodes;
@@ -333,25 +349,17 @@ void Deployment::build_pnfs_3tier() {
     auto& node = net_.add_node(sim::NodeParams{.name = "ds" + std::to_string(i),
                                                .nic = config_.nic,
                                                .disk = std::nullopt,
-                                               .cpu = config_.server_cpu});
+                                               .cpu = kNodeCpu});
     ds_nodes.push_back(&node);
     server_pvfs_clients_.push_back(
         make_pvfs_client(node, "ds" + std::to_string(i) + "@SIM", true));
-    auto backend = std::make_unique<PvfsBackend>(
-        *server_pvfs_clients_.back(), registry_,
-        StripeView{config_.stripe_unit, ds_count, i});
     // Same serialized kernel-client traversal as the 2-tier data servers.
-    auto conduit = std::make_unique<ConduitBackend>(*backend, node,
-                                                    config_.vfs_conduit);
-    nfs::ServerConfig scfg = config_.nfs_server;
-    scfg.is_data_server = true;
-    nfs_servers_.push_back(std::make_unique<nfs::NfsServer>(
-        fabric_, node, rpc::kNfsPort, *conduit, nullptr, scfg));
-    nfs_servers_.back()->start();
-    backends_.push_back(std::move(backend));
-    backends_.push_back(std::move(conduit));
-    devices.push_back(
-        nfs::DeviceEntry{nfs::DeviceId{i}, node.id(), rpc::kNfsPort});
+    devices.push_back(add_data_server(
+        node,
+        std::make_unique<PvfsBackend>(*server_pvfs_clients_.back(), registry_,
+                                      StripeView{config_.stripe_unit,
+                                                 ds_count, i}),
+        kVfsConduitBuffers, i));
   }
 
   server_pvfs_clients_.push_back(make_pvfs_client(*ds_nodes[0], "mds@SIM", true));
@@ -360,14 +368,9 @@ void Deployment::build_pnfs_3tier() {
   synthetic_layouts_ =
       std::make_unique<SyntheticLayoutSource>(devices, config_.stripe_unit);
   synthetic_layouts_->attach_metrics(metrics_, ds_nodes[0]->name());
-  nfs_servers_.push_back(std::make_unique<nfs::NfsServer>(
-      fabric_, *ds_nodes[0], kMdsPort, *mds_backend, synthetic_layouts_.get(),
-      mds_server_config()));
-  nfs_servers_.back()->start();
-  const rpc::RpcAddress mds = nfs_servers_.back()->address();
-  backends_.push_back(std::move(mds_backend));
-
-  add_nfs_clients(mds, /*pnfs_enabled=*/true);
+  add_nfs_clients(start_mds(*ds_nodes[0], kMdsPort, std::move(mds_backend),
+                            synthetic_layouts_.get()),
+                  /*pnfs_enabled=*/true);
 }
 
 void Deployment::build_plain_nfs() {
@@ -376,18 +379,14 @@ void Deployment::build_plain_nfs() {
   auto& server_node = net_.add_node(sim::NodeParams{.name = "nfsd",
                                                     .nic = config_.nic,
                                                     .disk = std::nullopt,
-                                                    .cpu = config_.server_cpu});
+                                                    .cpu = kNodeCpu});
   server_pvfs_clients_.push_back(make_pvfs_client(server_node, "nfsd@SIM", true));
-  auto backend = std::make_unique<PvfsBackend>(*server_pvfs_clients_.back(),
-                                               registry_);
-  nfs_servers_.push_back(std::make_unique<nfs::NfsServer>(
-      fabric_, server_node, rpc::kNfsPort, *backend, nullptr,
-      mds_server_config()));
-  nfs_servers_.back()->start();
-  const rpc::RpcAddress mds = nfs_servers_.back()->address();
-  backends_.push_back(std::move(backend));
-
-  add_nfs_clients(mds, /*pnfs_enabled=*/false);
+  add_nfs_clients(
+      start_mds(server_node, rpc::kNfsPort,
+                std::make_unique<PvfsBackend>(*server_pvfs_clients_.back(),
+                                              registry_),
+                nullptr),
+      /*pnfs_enabled=*/false);
 }
 
 // ---------------------------------------------------------------------------
@@ -629,7 +628,7 @@ void Deployment::evaluate_health() {
     }
     if (auto it = depth.find(name);
         it != depth.end() &&
-        it->second >= static_cast<double>(config_.health_queue_threshold)) {
+        it->second >= kHealthQueueThreshold) {
       h.level = std::max(h.level, 1);
       h.reason = util::sformat("rpc queue depth %.0f", it->second);
     }

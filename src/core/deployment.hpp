@@ -23,7 +23,6 @@
 
 #include "core/adapters.hpp"
 #include "core/aggregation_drivers.hpp"
-#include "core/conduit_backend.hpp"
 #include "core/pvfs_backend.hpp"
 #include "core/translator.hpp"
 #include "lfs/object_store.hpp"
@@ -57,55 +56,22 @@ const char* architecture_name(Architecture a);
 /// on rpc::kPvfsMetaPort / rpc::kPvfsIoPort.
 inline constexpr uint16_t kMdsPort = 2050;
 
-/// Every knob of the testbed.  Defaults reproduce the paper's setup:
-/// 6 storage nodes (+1 metadata double-duty), gigabit Ethernet with jumbo
-/// frames, 2 MB stripes, 2 MB rsize/wsize, 8 nfsd threads.
+/// The knobs a caller sets on the testbed.  Defaults reproduce the paper's
+/// setup: 6 storage nodes (+1 metadata double-duty), gigabit Ethernet with
+/// jumbo frames, 2 MB stripes, 2 MB rsize/wsize.  The calibrated constants
+/// that no experiment varies (CPU costs, conduits, cache geometry, the
+/// start stagger) live as named constants where they are read (DESIGN.md
+/// §5).
 struct ClusterConfig {
   Architecture architecture = Architecture::kDirectPnfs;
   uint32_t storage_nodes = 6;
   uint32_t clients = 8;
   uint32_t three_tier_data_servers = 3;
-  /// 3-tier consolidates 6 disks behind 3 nodes; two disks per node do not
-  /// double bandwidth (paper §6.2) — this factor models the shortfall.
-  double three_tier_disk_scale = 1.6;
 
   sim::NicParams nic{.bytes_per_sec = 117e6, .latency = sim::us(60)};
-  sim::NetworkParams network{};
-
-  /// Seeded per-client start stagger: client i sleeps uniform
-  /// [0, start_stagger) — drawn from fork(i) of start_stagger_seed — before
-  /// its first op, so closed-loop sweeps measure steady state instead of a
-  /// lockstep convoy.  0 disables.
-  sim::Duration start_stagger = sim::ms(20);
-  uint64_t start_stagger_seed = 0x57a66e12;
   sim::DiskParams disk{.bytes_per_sec = 23e6,
                        .positioning = sim::ms(3),
                        .per_request = sim::us(100)};
-  sim::CpuParams server_cpu{.cores = 2};
-  sim::CpuParams client_cpu{.cores = 2};
-
-  /// Extra per-byte CPU for *server-side* PVFS clients: an NFS server box
-  /// that re-exports the parallel FS pays for a second full data copy
-  /// through the kernel/daemon boundary on the same machine.  This is the
-  /// per-box ceiling that makes the 2-/3-tier data servers and the plain
-  /// NFSv4 server CPU-limited in the paper — and that Direct-pNFS bypasses
-  /// by serving stripe objects locally.
-  double proxy_extra_cpu_ns_per_byte = 24.0;
-
-  /// Model the prototype's loopback conduit on Direct-pNFS data servers
-  /// (Figure 5: the PVFS2 client ferries data between the NFSv4 server and
-  /// the local storage daemon through a fixed buffer pool).
-  bool direct_ds_conduit = true;
-  ConduitParams conduit{};
-
-  /// The 2-/3-tier data servers re-export PVFS through the *kernel* client:
-  /// every data op funnels through the pvfs2 kernel module's single upcall
-  /// queue to the user-level client daemon, and an nfsd thread's synchronous
-  /// VFS write pins that crossing for the full (mostly remote) PVFS round
-  /// trip.  One buffer models the serialized traversal — the intermediate
-  /// file system overhead §6.2 blames for pNFS-2tier losing half its
-  /// bandwidth on a slow network, and which Direct-pNFS eliminates.
-  ConduitParams vfs_conduit{.buffers = 1};
 
   /// Scripted failures (node/service crashes, link faults, disk faults)
   /// injected into the cluster's network.  Empty by default: fault-free
@@ -142,31 +108,21 @@ struct ClusterConfig {
   /// round-robin by client index.  0 disables tenant stamping entirely —
   /// the wire stays byte-identical to the pre-tenant layout.
   uint32_t tenants = 0;
-  /// Capacity of the Space-Saving heavy-hitter tracker behind per-tenant
-  /// accounting: memory stays O(tenant_topk) at thousands of tenants, and
-  /// counts are exact while distinct tenants fit.
-  uint32_t tenant_topk = 64;
-  /// Bounded structured-event ring (recovery ladder, restarts, WARN+ log
-  /// lines) dumped as JSON on faults or on demand.
-  size_t flight_capacity = 4096;
-  /// Per-node RPC queue depth (summed over the daemons a node hosts) at or
-  /// above which the health evaluator reports the node "degraded".
-  size_t health_queue_threshold = 64;
 
+  /// Distribution of new files on the PVFS metadata manager (the
+  /// Deployment builds its pvfs::MetaServerConfig from these six):
+  /// `stripe_unit`-sized stripes, laid out as kStripe (default, no
+  /// redundancy), kMirror (`replicas` full copies) or kErasure (RS
+  /// `ec_k`+`ec_m`), with the trailing `spare_nodes` storage nodes held out
+  /// as rebuild spares.  Redundant distributions surface to pNFS clients as
+  /// the replicated / erasure-coded layout aggregations, whose degraded
+  /// read and write paths survive data-server loss without MDS fallback
+  /// (docs/failures.md).
   uint64_t stripe_unit = 2ull << 20;
-
-  /// File distribution for new files (copied into pvfs_meta at build time):
-  /// kStripe (default, no redundancy), kMirror (`replicas` full copies), or
-  /// kErasure (RS `ec_k`+`ec_m`).  Redundant distributions surface to pNFS
-  /// clients as the replicated / erasure-coded layout aggregations, whose
-  /// degraded read and write paths survive data-server loss without MDS
-  /// fallback (docs/failures.md).
   pvfs::DistKind distribution = pvfs::DistKind::kStripe;
   uint32_t replicas = 2;
   uint32_t ec_k = 4;
   uint32_t ec_m = 2;
-  /// Trailing storage nodes held out of new distributions as rebuild
-  /// spares (copied into pvfs_meta).
   uint32_t spare_nodes = 0;
 
   /// Background rebuild service on the MDS node (Direct-pNFS only): when a
@@ -178,18 +134,16 @@ struct ClusterConfig {
   bool rebuild_enabled = false;
   RebuildConfig rebuild{};
 
-  /// List I/O: clients fold multiple regions for the same data server or
-  /// storage daemon into one vectored request (kReadv/kWritev on the PVFS
-  /// wire, READV/WRITEV in NFS compounds).  Copied into the NFS and PVFS
-  /// client configs at build time.
-  bool listio_enabled = true;
-  uint32_t listio_max_regions = 64;
-
-  lfs::ObjectStoreParams store{};
-  nfs::ServerConfig nfs_server{};
+  /// Every NFS client's configuration.  The Deployment sets two fields per
+  /// client itself: `tenant_id` (from `tenants`) and `pnfs_enabled` (from
+  /// the architecture: false on kPlainNfs, true elsewhere).
   nfs::ClientConfig nfs_client{};
-  pvfs::MetaServerConfig pvfs_meta{};
-  pvfs::StorageServerConfig pvfs_storage{};
+  /// Every PVFS client's configuration — the native clients, and the ones
+  /// inside the MDS and the 2-/3-tier and plain-NFS servers.  The
+  /// Deployment sets `tenant_id` per native client (from `tenants`), zeroes
+  /// `vfs_meta_latency` on the Direct-pNFS MDS (it links the PFS library
+  /// directly, Figure 5) and adds the re-export copy cost to
+  /// `cpu_ns_per_byte` on the server-side proxies.
   pvfs::PvfsClientConfig pvfs_client{};
 };
 
@@ -329,6 +283,16 @@ class Deployment {
   void build_plain_nfs();
 
   sim::Node& add_client_node(const std::string& name);
+  /// Starts an NFS data server on `node` that exports `inner` through a
+  /// conduit of `conduit_buffers` buffers; returns its device entry.
+  nfs::DeviceEntry add_data_server(sim::Node& node,
+                                   std::unique_ptr<nfs::Backend> inner,
+                                   uint32_t conduit_buffers, uint32_t device);
+  /// Starts the metadata server (the lone server on plain NFSv4) exporting
+  /// `backend` with the MDS grace window; returns its address.
+  rpc::RpcAddress start_mds(sim::Node& node, uint16_t port,
+                            std::unique_ptr<nfs::Backend> backend,
+                            nfs::LayoutSource* layouts);
   std::vector<rpc::RpcAddress> storage_addresses() const;
   std::unique_ptr<pvfs::PvfsClient> make_pvfs_client(sim::Node& node,
                                                      const std::string& who,
@@ -348,9 +312,6 @@ class Deployment {
   void evaluate_health();
 
   sim::Task<void> sampler_loop();
-
-  /// config_.nfs_server with the MDS grace window applied.
-  nfs::ServerConfig mds_server_config() const;
 
   ClusterConfig config_;
   sim::Simulation sim_;

@@ -10,6 +10,12 @@ namespace dpnfs::lfs {
 using rpc::Payload;
 using sim::Task;
 
+namespace {
+constexpr uint64_t kCacheBlockBytes = 1ull << 20;   ///< cache residency unit
+constexpr uint64_t kFlushChunkBytes = 2ull << 20;   ///< writeback I/O size
+constexpr uint64_t kObjectSlabBytes = 16ull << 30;  ///< disk address spacing
+}  // namespace
+
 ObjectStore::ObjectStore(sim::Node& node, ObjectStoreParams params)
     : node_(node), params_(params) {
   if (!node.has_disk()) {
@@ -46,7 +52,7 @@ const ObjectStore::Object& ObjectStore::get(ObjectId oid) const {
 }
 
 uint64_t ObjectStore::disk_position(const Object& obj, uint64_t offset) const {
-  return obj.slab_index * params_.object_slab_bytes + offset;
+  return obj.slab_index * kObjectSlabBytes + offset;
 }
 
 Task<void> ObjectStore::disk_io(uint64_t pos, uint64_t bytes) {
@@ -70,7 +76,7 @@ void ObjectStore::truncate(ObjectId oid, uint64_t new_size) {
 }
 
 void ObjectStore::touch_cache(ObjectId oid, uint64_t start, uint64_t end) {
-  const uint64_t block = params_.cache_block_bytes;
+  constexpr uint64_t block = kCacheBlockBytes;
   const uint64_t max_blocks = params_.cache_limit_bytes / block;
   for (uint64_t b = start / block; b <= (end == 0 ? 0 : (end - 1) / block); ++b) {
     const BlockKey key{oid, b};
@@ -89,7 +95,7 @@ void ObjectStore::touch_cache(ObjectId oid, uint64_t start, uint64_t end) {
 }
 
 bool ObjectStore::cache_covers(ObjectId oid, uint64_t start, uint64_t end) {
-  const uint64_t block = params_.cache_block_bytes;
+  constexpr uint64_t block = kCacheBlockBytes;
   if (start >= end) return true;
   for (uint64_t b = start / block; b <= (end - 1) / block; ++b) {
     if (!resident_.contains(BlockKey{oid, b})) return false;
@@ -160,7 +166,7 @@ Task<void> ObjectStore::flush_until(uint64_t target_dirty) {
     if (own.empty()) continue;
     const uint64_t anchor = own.front().start;
     const uint64_t flush_end =
-        std::max(ext.end, anchor + params_.flush_chunk_bytes);
+        std::max(ext.end, anchor + kFlushChunkBytes);
     const auto todo = obj.dirty.intersection(anchor, flush_end);
     for (const auto& iv : todo) {
       obj.dirty.subtract(iv.start, iv.end);
@@ -180,7 +186,7 @@ Task<void> ObjectStore::write_extents(
   for (size_t i = 0; i < todo.size(); ++i) {
     uint64_t pos = todo[i].start;
     while (pos < todo[i].end) {
-      const uint64_t n = std::min(params_.flush_chunk_bytes, todo[i].end - pos);
+      const uint64_t n = std::min(kFlushChunkBytes, todo[i].end - pos);
       try {
         co_await disk_io(disk_position(obj, pos), n);
       } catch (...) {
@@ -258,7 +264,7 @@ Task<Payload> ObjectStore::read(ObjectId oid, uint64_t offset, uint64_t length) 
     // Fetch the missing blocks from disk, block-aligned, coalescing
     // contiguous misses into single I/Os.
     stats_.cache_miss_bytes += end - offset;
-    const uint64_t block = params_.cache_block_bytes;
+    constexpr uint64_t block = kCacheBlockBytes;
     uint64_t run_start = 0;
     bool in_run = false;
     const uint64_t first_b = offset / block;

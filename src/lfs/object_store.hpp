@@ -38,9 +38,6 @@ using ObjectId = uint64_t;
 struct ObjectStoreParams {
   uint64_t dirty_limit_bytes = 64ull << 20;   ///< write-behind buffer cap
   uint64_t cache_limit_bytes = 1536ull << 20; ///< page-cache budget
-  uint64_t cache_block_bytes = 1ull << 20;    ///< cache-residency granularity
-  uint64_t flush_chunk_bytes = 2ull << 20;    ///< writeback I/O size
-  uint64_t object_slab_bytes = 16ull << 30;   ///< disk address spacing
 };
 
 struct ObjectStoreStats {

@@ -21,6 +21,8 @@ constexpr uint16_t kBackchannelPortBase = 4044;
 
 /// Slots this client asks for in CREATE_SESSION.
 constexpr uint32_t kSessionSlots = 64;
+/// Fixed client CPU per COMPOUND sent.
+constexpr sim::Duration kCpuPerRpc = sim::us(8);
 
 uint64_t round_down(uint64_t v, uint64_t m) { return v / m * m; }
 uint64_t round_up(uint64_t v, uint64_t m) { return (v + m - 1) / m * m; }
@@ -284,7 +286,7 @@ Task<rpc::RpcClient::Reply> NfsClient::call(rpc::RpcAddress addr,
     msg.patch_u32(8, static_cast<uint32_t>(s->id.id >> 32));
     msg.patch_u32(12, static_cast<uint32_t>(s->id.id & 0xFFFFFFFFu));
     co_await s->slots->acquire();
-    const auto cpu = config_.cpu_per_rpc +
+    const auto cpu = kCpuPerRpc +
                      static_cast<sim::Duration>(config_.cpu_ns_per_byte *
                                                 static_cast<double>(data_bytes));
     co_await node_.cpu().execute(cpu);
@@ -1618,7 +1620,7 @@ Task<uint64_t> NfsClient::fetch_range(FilePtr file, uint64_t start,
   // (strided misses — a dense demand read or readahead always collapses to
   // rsize-sized pieces), route them all up front and fold the slices bound
   // for the same server into vectored READs of up to rsize total bytes.
-  if (config_.listio_enabled && fetches.size() > 1) {
+  if (config_.listio_max_regions > 1 && fetches.size() > 1) {
     co_await ensure_layout_fresh(*file);
     struct SliceRef {
       size_t fetch_idx;
@@ -1929,7 +1931,7 @@ Task<void> NfsClient::wb_worker(FilePtr file, rpc::RpcAddress addr) {
       slices.push_back(s);
       payloads.push_back(std::move(data));
       total += s.length;
-      if (!config_.coalesce_writes || !config_.listio_enabled ||
+      if (!config_.coalesce_writes ||
           slices.size() >= config_.listio_max_regions ||
           total >= config_.wsize) {
         break;

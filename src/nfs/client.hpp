@@ -55,12 +55,10 @@ struct ClientConfig {
   /// Merge adjacent dirty extents bound for the same DS into one WRITE of up
   /// to wsize before dispatch (elevator-style coalescing).  Ablation switch.
   bool coalesce_writes = true;
-  /// List I/O: fold multiple *non-adjacent* dirty runs for the same DS into
-  /// one vectored WRITEV (up to wsize total bytes), and batch strided read
-  /// misses into READV the same way.  Single-range requests always use the
-  /// classic one-range ops regardless of this switch.  Ablation switch.
-  bool listio_enabled = true;
-  /// Max (offset, length) regions one vectored request may carry.
+  /// List I/O: fold up to this many *non-adjacent* dirty runs for the same
+  /// DS into one vectored WRITEV (up to wsize total bytes), and batch
+  /// strided read misses into READV the same way.  1 (or 0) turns list I/O
+  /// off.  Single-range requests always use the classic one-range ops.
   uint32_t listio_max_regions = 64;
   /// Once a data server holds this many completed-but-uncommitted write-back
   /// bytes for a file, the scheduler issues an asynchronous COMMIT to it so
@@ -69,7 +67,6 @@ struct ClientConfig {
   /// fsync still sends its own one-per-DS COMMIT to cover stragglers.
   /// 0 disables background commits.
   uint64_t wb_commit_backlog = 1ull << 20;
-  sim::Duration cpu_per_rpc = sim::us(8);
   /// Client copy/checksum cost, charged once at the syscall boundary and
   /// once per RPC carrying data.  Calibrated so one client box sustains
   /// ~64 MB/s on the read path (the paper's P3 clients: 8 of them cap
@@ -206,7 +203,6 @@ class NfsClient {
   void drop_caches();
 
   const ClientStats& stats() const noexcept { return stats_; }
-  const ClientConfig& config() const noexcept { return config_; }
   sim::Node& node() noexcept { return node_; }
   uint64_t layout_recalls_served() const noexcept { return recalls_served_; }
   uint64_t delegation_recalls_served() const noexcept {

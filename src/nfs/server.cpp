@@ -10,6 +10,13 @@ using rpc::XdrDecoder;
 using rpc::XdrEncoder;
 using sim::Task;
 
+namespace {
+constexpr uint32_t kWorkerThreads = 8;      ///< nfsd threads (paper: 8)
+constexpr uint32_t kMaxSessionSlots = 64;   ///< CREATE_SESSION grant
+constexpr sim::Duration kCpuPerOp = sim::us(12);
+constexpr double kCpuNsPerByte = 2.2;       ///< copy/checksum cost on data ops
+}  // namespace
+
 NfsServer::NfsServer(rpc::RpcFabric& fabric, sim::Node& node, uint16_t port,
                      Backend& backend, LayoutSource* layouts,
                      ServerConfig config)
@@ -28,7 +35,7 @@ NfsServer::NfsServer(rpc::RpcFabric& fabric, sim::Node& node, uint16_t port,
   m_delegation_recalls_ =
       &reg.counter(n, "nfs.server", "delegation_recalls");
   rpc_server_ = std::make_unique<rpc::RpcServer>(
-      fabric, node, port, config.worker_threads,
+      fabric, node, port, kWorkerThreads,
       [this](const rpc::CallContext& ctx, XdrDecoder& args,
              XdrEncoder& results) -> Task<void> {
         return serve(ctx, args, results);
@@ -92,9 +99,8 @@ void NfsServer::check_restart(sim::Time now) {
 
 Task<void> NfsServer::charge_cpu(uint64_t data_bytes) {
   const auto work =
-      config_.cpu_per_op +
-      static_cast<sim::Duration>(config_.cpu_ns_per_byte *
-                                 static_cast<double>(data_bytes));
+      kCpuPerOp + static_cast<sim::Duration>(
+                      kCpuNsPerByte * static_cast<double>(data_bytes));
   co_await node_.cpu().execute(work);
 }
 
@@ -265,7 +271,7 @@ Task<Status> NfsServer::dispatch(OpCode op, const rpc::CallContext& ctx,
             ctx.client_node, static_cast<uint16_t>(a.callback_port)};
       }
       const uint32_t slots =
-          std::min(a.requested_slots, config_.max_session_slots);
+          std::min(a.requested_slots, kMaxSessionSlots);
       CreateSessionRes{SessionId{sid}, slots}.encode(results);
       co_return Status::kOk;
     }

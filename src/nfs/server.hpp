@@ -18,10 +18,6 @@
 namespace dpnfs::nfs {
 
 struct ServerConfig {
-  uint32_t worker_threads = 8;        ///< nfsd threads (paper: 8)
-  uint32_t max_session_slots = 64;    ///< CREATE_SESSION grant
-  sim::Duration cpu_per_op = sim::us(12);
-  double cpu_ns_per_byte = 2.2;       ///< copy/checksum cost on data ops
   bool is_data_server = false;        ///< restricts ops to the pNFS data path
   /// RPCSEC_GSS stand-in: when non-empty, calls whose principal does not
   /// end with this suffix are rejected with NFS4ERR_PERM.  Because both
@@ -52,7 +48,6 @@ class NfsServer {
   /// Requests queued at the RPC daemon right now (utilization sampler).
   size_t rpc_queue_depth() const { return rpc_server_->queue_depth(); }
   sim::Node& node() noexcept { return node_; }
-  const ServerConfig& config() const noexcept { return config_; }
   uint64_t compounds_served() const noexcept { return compounds_; }
 
   uint64_t layout_recalls_issued() const noexcept { return recalls_; }

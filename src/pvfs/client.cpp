@@ -15,7 +15,9 @@ using sim::Task;
 
 namespace {
 constexpr uint32_t kPvfsVersion = 2;
-}
+constexpr uint64_t kBufferSize = 4ull << 20;  ///< max bytes per storage request
+constexpr sim::Duration kCpuPerRequest = sim::us(400);
+}  // namespace
 
 PvfsClient::PvfsClient(rpc::RpcFabric& fabric, sim::Node& node,
                        rpc::RpcAddress meta,
@@ -46,7 +48,7 @@ PvfsStatus PvfsClient::reply_status(XdrDecoder& dec) {
 Task<rpc::RpcClient::Reply> PvfsClient::meta_call(MetaProc proc,
                                                   XdrEncoder args) {
   ++stats_.meta_requests;
-  co_await node_.cpu().execute(config_.cpu_per_request);
+  co_await node_.cpu().execute(kCpuPerRequest);
   if (config_.vfs_meta_latency > 0) {
     co_await fabric_.simulation().delay(config_.vfs_meta_latency);
   }
@@ -69,7 +71,7 @@ Task<rpc::RpcClient::Reply> PvfsClient::io_call(uint32_t server_index,
   co_await buffers_.acquire();
   ++stats_.storage_requests;
   co_await node_.cpu().execute(
-      config_.cpu_per_request +
+      kCpuPerRequest +
       static_cast<sim::Duration>(config_.cpu_ns_per_byte *
                                  static_cast<double>(data_bytes)));
   rpc::CallOptions opts;
@@ -165,6 +167,48 @@ Task<uint64_t> PvfsClient::write_regions(const DfileRef& dfile,
     throw PvfsError(PvfsStatus::kIo, "write");
   }
   co_return d.get_u64();
+}
+
+std::vector<PvfsClient::IoPiece> PvfsClient::split(
+    const std::vector<StripeExtent>& extents) {
+  std::vector<IoPiece> pieces;
+  for (const auto& ext : extents) {
+    for (uint64_t done = 0; done < ext.length;) {
+      const uint64_t n = std::min(kBufferSize, ext.length - done);
+      pieces.push_back({StripeExtent{ext.dfile_index, ext.dfile_offset + done,
+                                     ext.file_offset + done, n},
+                        Payload{}});
+      done += n;
+    }
+  }
+  return pieces;
+}
+
+std::vector<std::vector<size_t>> PvfsClient::listio_batches(
+    const std::vector<IoPiece>& pieces) const {
+  std::map<uint32_t, std::vector<size_t>> by_dfile;
+  for (size_t i = 0; i < pieces.size(); ++i) {
+    by_dfile[pieces[i].ext.dfile_index].push_back(i);
+  }
+  const uint64_t max_regions =
+      std::max<uint32_t>(config_.listio_max_regions, 1);
+  std::vector<std::vector<size_t>> batches;
+  for (auto& [dfi, idxs] : by_dfile) {
+    std::vector<size_t> cur;
+    uint64_t bytes = 0;
+    for (size_t i : idxs) {
+      if (!cur.empty() && (cur.size() >= max_regions ||
+                           bytes + pieces[i].ext.length > kBufferSize)) {
+        batches.push_back(std::move(cur));
+        cur.clear();
+        bytes = 0;
+      }
+      cur.push_back(i);
+      bytes += pieces[i].ext.length;
+    }
+    if (!cur.empty()) batches.push_back(std::move(cur));
+  }
+  return batches;
 }
 
 // ---------------------------------------------------------------------------
@@ -277,30 +321,22 @@ Task<uint64_t> PvfsClient::replay_stale(PvfsFilePtr file,
     DaemonState& d = daemons_.at(dfile.server_index);
     auto sit = d.stale.find(dfile.object_id);
     if (sit == d.stale.end() || sit->second.empty()) continue;
-    PieceMap pieces = std::move(sit->second);
+    // The dead incarnation's region list, re-sent wholesale: orphaned
+    // pieces in offset order, folded into vectored replays.
+    std::vector<IoPiece> pieces;
+    for (auto& [off, piece] : sit->second) {
+      pieces.push_back({StripeExtent{0, off, 0, piece.data.size()},
+                        std::move(piece.data)});
+    }
     d.stale.erase(sit);
-    const uint64_t max_regions =
-        config_.listio_enabled
-            ? std::max<uint32_t>(config_.listio_max_regions, 1)
-            : 1;
-    while (!pieces.empty()) {
-      // Fold the next run of orphaned pieces into one vectored replay (the
-      // region list of the dead incarnation's writes, re-sent wholesale).
+    for (const std::vector<size_t>& batch : listio_batches(pieces)) {
       std::vector<IoRange> regions;
-      std::vector<Payload> datas;
       Payload body;
       uint64_t bytes = 0;
-      while (!pieces.empty() && regions.size() < max_regions) {
-        auto pit = pieces.begin();
-        const uint64_t poff = pit->first;
-        const uint64_t plen = pit->second.data.size();
-        if (!regions.empty() && bytes + plen > config_.buffer_size) break;
-        Payload p = std::move(pit->second.data);
-        pieces.erase(pit);
-        regions.push_back({poff, plen});
-        body.append(p);
-        bytes += plen;
-        datas.push_back(std::move(p));
+      for (size_t i : batch) {
+        regions.push_back({pieces[i].ext.dfile_offset, pieces[i].ext.length});
+        body.append(pieces[i].data);
+        bytes += pieces[i].ext.length;
       }
       try {
         const uint64_t verifier =
@@ -323,21 +359,18 @@ Task<uint64_t> PvfsClient::replay_stale(PvfsFilePtr file,
                                        regions.size()));
         }
         note_daemon_verifier(dfile.server_index, verifier);
-        for (size_t i = 0; i < regions.size(); ++i) {
-          retain_piece(dfile.server_index, dfile.object_id, regions[i].offset,
-                       std::move(datas[i]));
+        for (size_t i : batch) {
+          retain_piece(dfile.server_index, dfile.object_id,
+                       pieces[i].ext.dfile_offset, std::move(pieces[i].data));
         }
       } catch (...) {
         // Preserve this batch and every not-yet-attempted piece: they are
         // the only copy of the data.  A later fsync retries.
         PieceMap& stale = daemons_.at(dfile.server_index).stale[dfile.object_id];
-        for (size_t i = 0; i < regions.size(); ++i) {
-          trim_range(stale, regions[i].offset, regions[i].length);
-          stale.emplace(regions[i].offset, RetainedPiece{0, std::move(datas[i])});
-        }
-        for (auto& [ro, rest] : pieces) {
-          trim_range(stale, ro, rest.data.size());
-          stale.emplace(ro, std::move(rest));
+        for (size_t i = batch.front(); i < pieces.size(); ++i) {
+          trim_range(stale, pieces[i].ext.dfile_offset, pieces[i].ext.length);
+          stale.emplace(pieces[i].ext.dfile_offset,
+                        RetainedPiece{0, std::move(pieces[i].data)});
         }
         throw;
       }
@@ -526,68 +559,27 @@ Task<Payload> PvfsClient::read(PvfsFilePtr file, uint64_t offset,
   const uint64_t end = std::min(file->size, offset + length);
   const auto extents = map_stripes(file->meta, offset, end - offset);
 
-  // Split each extent into buffer_size requests; the pool bounds parallelism.
-  struct Piece {
-    uint32_t dfile_index;
-    uint64_t dfile_offset;
-    uint64_t file_offset;
-    uint64_t length;
-    Payload result;
-  };
-  std::vector<Piece> pieces;
-  for (const auto& ext : extents) {
-    uint64_t done = 0;
-    while (done < ext.length) {
-      const uint64_t n = std::min(config_.buffer_size, ext.length - done);
-      pieces.push_back(Piece{ext.dfile_index, ext.dfile_offset + done,
-                             ext.file_offset + done, n, Payload{}});
-      done += n;
-    }
-  }
-
-  // List I/O: fold the pieces of each dfile into vectored requests of up to
-  // listio_max_regions regions / buffer_size bytes.  A 1-element batch goes
-  // out as the classic kRead, so the batching is free for sequential I/O.
-  std::map<uint32_t, std::vector<size_t>> by_dfile;
-  for (size_t i = 0; i < pieces.size(); ++i) {
-    by_dfile[pieces[i].dfile_index].push_back(i);
-  }
-  const uint64_t max_regions =
-      config_.listio_enabled ? std::max<uint32_t>(config_.listio_max_regions, 1)
-                             : 1;
-  std::vector<std::vector<size_t>> batches;
-  for (auto& [dfi, idxs] : by_dfile) {
-    std::vector<size_t> cur;
-    uint64_t bytes = 0;
-    for (size_t i : idxs) {
-      if (!cur.empty() && (cur.size() >= max_regions ||
-                           bytes + pieces[i].length > config_.buffer_size)) {
-        batches.push_back(std::move(cur));
-        cur.clear();
-        bytes = 0;
-      }
-      cur.push_back(i);
-      bytes += pieces[i].length;
-    }
-    if (!cur.empty()) batches.push_back(std::move(cur));
-  }
-
+  // kBufferSize requests, the pool bounding their parallelism, folded per
+  // dfile into vectored requests.  A 1-element batch goes out as the
+  // classic kRead, so the batching is free for sequential I/O.
+  std::vector<IoPiece> pieces =
+      split(map_stripes(file->meta, offset, end - offset));
   sim::WaitGroup wg(fabric_.simulation());
   bool failed = false;
-  for (auto& batch : batches) {
+  for (auto& batch : listio_batches(pieces)) {
     wg.spawn([](PvfsClient& self, const FileMeta& meta,
-                std::vector<Piece>& pieces, std::vector<size_t> idx,
+                std::vector<IoPiece>& pieces, std::vector<size_t> idx,
                 bool& failed, const obs::TraceContext trace) -> Task<void> {
-      const DfileRef& dfile = meta.dfiles[pieces[idx[0]].dfile_index];
+      const DfileRef& dfile = meta.dfiles[pieces[idx[0]].ext.dfile_index];
       std::vector<IoRange> regions;
       regions.reserve(idx.size());
       for (size_t i : idx) {
-        regions.push_back({pieces[i].dfile_offset, pieces[i].length});
+        regions.push_back({pieces[i].ext.dfile_offset, pieces[i].ext.length});
       }
       try {
         auto out = co_await self.read_regions(dfile, regions, trace);
         for (size_t k = 0; k < idx.size(); ++k) {
-          pieces[idx[k]].result = std::move(out[k]);
+          pieces[idx[k]].data = std::move(out[k]);
         }
       } catch (const PvfsError&) {
         failed = true;
@@ -598,7 +590,7 @@ Task<Payload> PvfsClient::read(PvfsFilePtr file, uint64_t offset,
   if (failed) throw PvfsError(PvfsStatus::kIo, "read");
 
   Payload out;
-  for (auto& piece : pieces) out.append(piece.result);
+  for (auto& piece : pieces) out.append(piece.data);
   stats_.bytes_read += out.size();
   co_return out;
 }
@@ -606,63 +598,26 @@ Task<Payload> PvfsClient::read(PvfsFilePtr file, uint64_t offset,
 Task<void> PvfsClient::write(PvfsFilePtr file, uint64_t offset, Payload data,
                              obs::TraceContext trace) {
   const uint64_t len = data.size();
-  const auto extents = map_stripes_write(file->meta, offset, len);
-
-  struct WritePiece {
-    uint32_t dfile_index;
-    uint64_t dfile_offset;
-    Payload data;
-  };
-  std::vector<WritePiece> pieces;
-  for (const auto& ext : extents) {
-    uint64_t done = 0;
-    while (done < ext.length) {
-      const uint64_t n = std::min(config_.buffer_size, ext.length - done);
-      pieces.push_back(WritePiece{
-          ext.dfile_index, ext.dfile_offset + done,
-          data.slice(ext.file_offset - offset + done, n)});
-      done += n;
-    }
+  std::vector<IoPiece> pieces =
+      split(map_stripes_write(file->meta, offset, len));
+  for (IoPiece& p : pieces) {
+    p.data = data.slice(p.ext.file_offset - offset, p.ext.length);
   }
 
   // Same per-dfile folding as read(): each batch is one kWrite (1 region)
   // or one kWritev (many regions under one verifier).
-  std::map<uint32_t, std::vector<size_t>> by_dfile;
-  for (size_t i = 0; i < pieces.size(); ++i) {
-    by_dfile[pieces[i].dfile_index].push_back(i);
-  }
-  const uint64_t max_regions =
-      config_.listio_enabled ? std::max<uint32_t>(config_.listio_max_regions, 1)
-                             : 1;
-  std::vector<std::vector<size_t>> batches;
-  for (auto& [dfi, idxs] : by_dfile) {
-    std::vector<size_t> cur;
-    uint64_t bytes = 0;
-    for (size_t i : idxs) {
-      if (!cur.empty() && (cur.size() >= max_regions ||
-                           bytes + pieces[i].data.size() > config_.buffer_size)) {
-        batches.push_back(std::move(cur));
-        cur.clear();
-        bytes = 0;
-      }
-      cur.push_back(i);
-      bytes += pieces[i].data.size();
-    }
-    if (!cur.empty()) batches.push_back(std::move(cur));
-  }
-
   sim::WaitGroup wg(fabric_.simulation());
   bool failed = false;
-  for (auto& batch : batches) {
+  for (auto& batch : listio_batches(pieces)) {
     wg.spawn([](PvfsClient& self, const FileMeta& meta,
-                std::vector<WritePiece>& pieces, std::vector<size_t> idx,
+                std::vector<IoPiece>& pieces, std::vector<size_t> idx,
                 bool& failed, const obs::TraceContext trace) -> Task<void> {
-      const DfileRef& dfile = meta.dfiles[pieces[idx[0]].dfile_index];
+      const DfileRef& dfile = meta.dfiles[pieces[idx[0]].ext.dfile_index];
       std::vector<IoRange> regions;
       regions.reserve(idx.size());
       Payload body;
       for (size_t i : idx) {
-        regions.push_back({pieces[i].dfile_offset, pieces[i].data.size()});
+        regions.push_back({pieces[i].ext.dfile_offset, pieces[i].ext.length});
         body.append(pieces[i].data);
       }
       try {
@@ -674,7 +629,8 @@ Task<void> PvfsClient::write(PvfsFilePtr file, uint64_t offset, Payload data,
         self.note_daemon_verifier(dfile.server_index, verifier);
         for (size_t i : idx) {
           self.retain_piece(dfile.server_index, dfile.object_id,
-                            pieces[i].dfile_offset, std::move(pieces[i].data));
+                            pieces[i].ext.dfile_offset,
+                            std::move(pieces[i].data));
         }
       } catch (const PvfsError&) {
         failed = true;

@@ -23,8 +23,6 @@ namespace dpnfs::pvfs {
 
 struct PvfsClientConfig {
   uint32_t buffer_count = 8;              ///< concurrent storage requests
-  uint64_t buffer_size = 4ull << 20;      ///< max bytes per storage request
-  sim::Duration cpu_per_request = sim::us(400);
   /// Kernel<->user-level-daemon crossing cost on the client box.
   double cpu_ns_per_byte = 4.0;
   /// Latency of a metadata operation through the kernel module's upcall
@@ -40,10 +38,10 @@ struct PvfsClientConfig {
   uint32_t io_retries = 1;        ///< attempts per storage request (>= 1)
   sim::Duration meta_timeout = 0;
   uint32_t meta_retries = 1;
-  /// List I/O: fold multiple (offset, length) regions of one dfile into a
-  /// single kReadv/kWritev request.  Off, every region is its own request.
-  bool listio_enabled = true;
-  uint32_t listio_max_regions = 64;  ///< regions per vectored request
+  /// List I/O: fold up to this many (offset, length) regions of one dfile
+  /// into a single kReadv/kWritev request.  1 (or 0) turns list I/O off:
+  /// every region is its own request.
+  uint32_t listio_max_regions = 64;
   /// Tenant identity stamped into RPCs this client *originates* (0: none).
   /// Proxied calls (a pNFS server serving some tenant's I/O) propagate the
   /// tenant riding in on the serving request instead.
@@ -106,7 +104,6 @@ class PvfsClient {
   sim::Task<void> truncate(PvfsFilePtr file, uint64_t size);
 
   const PvfsClientStats& stats() const noexcept { return stats_; }
-  const PvfsClientConfig& config() const noexcept { return config_; }
 
   /// Forgets all retained/stale write pieces and known daemon verifiers.
   /// Called when the *host* of this client restarts (e.g. a pNFS data
@@ -166,6 +163,21 @@ class PvfsClient {
                                     const std::vector<IoRange>& regions,
                                     rpc::Payload data, obs::TraceContext trace);
   static PvfsStatus reply_status(rpc::XdrDecoder& dec);
+
+  /// One storage request's share of a stripe extent, with its bytes (the
+  /// data to write, or the data read back).
+  struct IoPiece {
+    StripeExtent ext;
+    rpc::Payload data;
+  };
+  /// Splits `extents` into pieces of at most kBufferSize bytes, in order.
+  static std::vector<IoPiece> split(const std::vector<StripeExtent>& extents);
+  /// List I/O batching: folds `pieces` into per-dfile runs of at most
+  /// `listio_max_regions` regions and kBufferSize bytes (a lone larger piece
+  /// still makes a batch).  Batches come out in ascending dfile order, each
+  /// listing piece indices in the order given.
+  std::vector<std::vector<size_t>> listio_batches(
+      const std::vector<IoPiece>& pieces) const;
 
   /// Adopts a write verifier observed in a kWrite/kCommit reply from daemon
   /// `server_index`.  A change moves every retained piece to the stale set

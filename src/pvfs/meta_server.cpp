@@ -10,6 +10,9 @@ using sim::Task;
 
 namespace {
 
+constexpr uint32_t kWorkers = 8;
+constexpr sim::Duration kCpuPerOp = sim::us(30);
+
 std::vector<std::string> components(const std::string& path) {
   std::vector<std::string> out;
   size_t pos = 1;
@@ -33,7 +36,7 @@ PvfsMetaServer::PvfsMetaServer(rpc::RpcFabric& fabric, sim::Node& node,
       config_(config) {
   root_.is_dir = true;
   rpc_server_ = std::make_unique<rpc::RpcServer>(
-      fabric, node, port, config.workers,
+      fabric, node, port, kWorkers,
       [this](const rpc::CallContext& ctx, XdrDecoder& args,
              XdrEncoder& results) -> Task<void> {
         return serve(ctx, args, results);
@@ -125,7 +128,7 @@ const FileMeta* PvfsMetaServer::describe(uint64_t handle) const {
 
 Task<void> PvfsMetaServer::serve(const rpc::CallContext& ctx, XdrDecoder& args,
                                  XdrEncoder& results) {
-  co_await node_.cpu().execute(config_.cpu_per_op);
+  co_await node_.cpu().execute(kCpuPerOp);
   const auto proc = static_cast<MetaProc>(ctx.header.proc);
   // Mutating operations synchronously journal to the metadata manager's
   // disk (PVFS2 commits its Berkeley DB on every namespace change).

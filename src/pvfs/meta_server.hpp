@@ -25,8 +25,6 @@ namespace dpnfs::pvfs {
 
 struct MetaServerConfig {
   uint64_t stripe_unit = 2ull << 20;  ///< paper: 2 MB stripes
-  uint32_t workers = 8;
-  sim::Duration cpu_per_op = sim::us(30);
 
   /// Distribution kind for new files.  kMirror uses `replicas` dfiles;
   /// kErasure uses ec_k + ec_m.  kStripe stripes over every active node.
@@ -60,7 +58,6 @@ class PvfsMetaServer {
 
   uint32_t storage_count() const noexcept { return storage_count_; }
   uint64_t stripe_unit() const noexcept { return config_.stripe_unit; }
-  const MetaServerConfig& config() const noexcept { return config_; }
   /// Storage nodes currently receiving new distributions.
   uint32_t active_storage() const noexcept {
     return storage_count_ - std::min(storage_count_, config_.spare_nodes);

@@ -13,13 +13,20 @@ using sim::Task;
 namespace {
 /// Disk region for the daemon's synchronous journal/metadata updates.
 constexpr uint64_t kJournalPosition = 1ull << 50;
+constexpr uint32_t kBuffers = 8;  ///< bounded transfer-buffer pool
+constexpr sim::Duration kCpuPerRequest = sim::us(450);
+constexpr double kCpuNsPerByte = 2.2;
+
+/// CPU charged for one request moving `bytes` of data.
+sim::Duration cpu_cost(uint64_t bytes) {
+  return kCpuPerRequest +
+         static_cast<sim::Duration>(kCpuNsPerByte * static_cast<double>(bytes));
+}
 }  // namespace
 
 PvfsStorageServer::PvfsStorageServer(rpc::RpcFabric& fabric, sim::Node& node,
-                                     uint16_t port, lfs::ObjectStore& store,
-                                     StorageServerConfig config)
-    : fabric_(fabric), node_(node), port_(port), store_(store),
-      config_(config) {
+                                     uint16_t port, lfs::ObjectStore& store)
+    : fabric_(fabric), node_(node), port_(port), store_(store) {
   obs::MetricsRegistry& reg = fabric.metrics();
   const std::string& n = node.name();
   m_requests_ = &reg.counter(n, "pvfs.io", "requests");
@@ -28,7 +35,7 @@ PvfsStorageServer::PvfsStorageServer(rpc::RpcFabric& fabric, sim::Node& node,
   m_commits_ = &reg.counter(n, "pvfs.io", "commits");
   tracer_ = fabric.tracer();
   rpc_server_ = std::make_unique<rpc::RpcServer>(
-      fabric, node, port, config.buffers,
+      fabric, node, port, kBuffers,
       [this](const rpc::CallContext& ctx, XdrDecoder& args,
              XdrEncoder& results) -> Task<void> {
         return serve(ctx, args, results);
@@ -106,10 +113,7 @@ Task<void> PvfsStorageServer::serve(const rpc::CallContext& ctx,
       const uint64_t oid = args.get_u64();
       const uint64_t offset = args.get_u64();
       const uint64_t length = args.get_u64();
-      co_await node_.cpu().execute(
-          config_.cpu_per_request +
-          static_cast<sim::Duration>(config_.cpu_ns_per_byte *
-                                     static_cast<double>(length)));
+      co_await node_.cpu().execute(cpu_cost(length));
       results.put_u32(static_cast<uint32_t>(PvfsStatus::kOk));
       if (!store_.exists(oid)) {
         results.put_payload(rpc::Payload{});
@@ -130,10 +134,7 @@ Task<void> PvfsStorageServer::serve(const rpc::CallContext& ctx,
       const uint64_t oid = args.get_u64();
       const uint64_t offset = args.get_u64();
       rpc::Payload data = args.get_payload();
-      co_await node_.cpu().execute(
-          config_.cpu_per_request +
-          static_cast<sim::Duration>(config_.cpu_ns_per_byte *
-                                     static_cast<double>(data.size())));
+      co_await node_.cpu().execute(cpu_cost(data.size()));
       m_bytes_written_->add(data.size());
       const uint64_t len = data.size();
       const int64_t start = node_.simulation().now();
@@ -169,10 +170,7 @@ Task<void> PvfsStorageServer::serve(const rpc::CallContext& ctx,
         lo = std::min(lo, off);
         hi = std::max(hi, off + len);
       }
-      co_await node_.cpu().execute(
-          config_.cpu_per_request +
-          static_cast<sim::Duration>(config_.cpu_ns_per_byte *
-                                     static_cast<double>(total)));
+      co_await node_.cpu().execute(cpu_cost(total));
       results.put_u32(static_cast<uint32_t>(PvfsStatus::kOk));
       if (!store_.exists(oid)) {
         for (uint32_t i = 0; i < n; ++i) results.put_payload(rpc::Payload{});
@@ -221,10 +219,7 @@ Task<void> PvfsStorageServer::serve(const rpc::CallContext& ctx,
         results.put_u32(static_cast<uint32_t>(PvfsStatus::kInval));
         co_return;
       }
-      co_await node_.cpu().execute(
-          config_.cpu_per_request +
-          static_cast<sim::Duration>(config_.cpu_ns_per_byte *
-                                     static_cast<double>(total)));
+      co_await node_.cpu().execute(cpu_cost(total));
       m_bytes_written_->add(total);
       const int64_t start = node_.simulation().now();
       const uint64_t disk0 = store_.stats().disk_time_ns;
@@ -249,7 +244,7 @@ Task<void> PvfsStorageServer::serve(const rpc::CallContext& ctx,
     case IoProc::kCommit: {
       const uint64_t oid = args.get_u64();
       m_commits_->inc();
-      co_await node_.cpu().execute(config_.cpu_per_request);
+      co_await node_.cpu().execute(kCpuPerRequest);
       const int64_t start = node_.simulation().now();
       const uint64_t disk0 = store_.stats().disk_time_ns;
       co_await store_.commit(oid);
@@ -272,21 +267,21 @@ Task<void> PvfsStorageServer::serve(const rpc::CallContext& ctx,
     }
     case IoProc::kGetSize: {
       const uint64_t oid = args.get_u64();
-      co_await node_.cpu().execute(config_.cpu_per_request);
+      co_await node_.cpu().execute(kCpuPerRequest);
       results.put_u32(static_cast<uint32_t>(PvfsStatus::kOk));
       results.put_u64(store_.exists(oid) ? store_.size(oid) : 0);
       co_return;
     }
     case IoProc::kRemove: {
       const uint64_t oid = args.get_u64();
-      co_await node_.cpu().execute(config_.cpu_per_request);
+      co_await node_.cpu().execute(kCpuPerRequest);
       if (store_.exists(oid)) store_.remove(oid);
       results.put_u32(static_cast<uint32_t>(PvfsStatus::kOk));
       co_return;
     }
     case IoProc::kCreate: {
       const uint64_t oid = args.get_u64();
-      co_await node_.cpu().execute(config_.cpu_per_request);
+      co_await node_.cpu().execute(kCpuPerRequest);
       if (!store_.exists(oid)) store_.create(oid);
       // Creating a dfile is a synchronous metadata update on the daemon.
       co_await node_.disk().io(kJournalPosition, 4096);
@@ -296,7 +291,7 @@ Task<void> PvfsStorageServer::serve(const rpc::CallContext& ctx,
     case IoProc::kTruncate: {
       const uint64_t oid = args.get_u64();
       const uint64_t size = args.get_u64();
-      co_await node_.cpu().execute(config_.cpu_per_request);
+      co_await node_.cpu().execute(kCpuPerRequest);
       if (!store_.exists(oid)) store_.create(oid);
       store_.truncate(oid, size);
       results.put_u32(static_cast<uint32_t>(PvfsStatus::kOk));

@@ -20,16 +20,10 @@
 
 namespace dpnfs::pvfs {
 
-struct StorageServerConfig {
-  uint32_t buffers = 8;                     ///< bounded transfer-buffer pool
-  sim::Duration cpu_per_request = sim::us(450);
-  double cpu_ns_per_byte = 2.2;
-};
-
 class PvfsStorageServer {
  public:
   PvfsStorageServer(rpc::RpcFabric& fabric, sim::Node& node, uint16_t port,
-                    lfs::ObjectStore& store, StorageServerConfig config = {});
+                    lfs::ObjectStore& store);
 
   void start() { rpc_server_->start(); }
   void stop() { rpc_server_->stop(); }
@@ -72,7 +66,6 @@ class PvfsStorageServer {
   sim::Node& node_;
   uint16_t port_;
   lfs::ObjectStore& store_;
-  StorageServerConfig config_;
   std::unique_ptr<rpc::RpcServer> rpc_server_;
 
   // Boot identity: 0 = not yet observed (adopted without a reset on the

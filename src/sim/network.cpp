@@ -6,6 +6,13 @@
 
 namespace dpnfs::sim {
 
+namespace {
+constexpr uint64_t kChunkBytes = 256 * 1024;  ///< bandwidth-sharing unit
+constexpr uint32_t kFlowWindowChunks = 4;     ///< in-flight chunks per flow
+/// Same-node "transfer" (memcpy-ish).
+constexpr double kLoopbackBytesPerSec = 3e9;
+}  // namespace
+
 bool Node::disk_failed() const noexcept {
   return faults_ != nullptr && faults_->disk_failed(id_, sim_.now());
 }
@@ -19,7 +26,7 @@ Task<bool> Network::transfer(Node& src, Node& dst, uint64_t bytes,
                              TransferStats* stats) {
   if (&src == &dst) {
     // Local delivery: no NIC involvement, just memory-bandwidth cost.
-    co_await sim_.delay(duration_for_bytes(bytes, params_.loopback_bytes_per_sec));
+    co_await sim_.delay(duration_for_bytes(bytes, kLoopbackBytesPerSec));
     // A crashed node cannot deliver even to itself.
     co_return faults_ == nullptr || !faults_->node_down(src.id(), sim_.now());
   }
@@ -45,7 +52,7 @@ Task<bool> Network::transfer(Node& src, Node& dst, uint64_t bytes,
     // bytes really left the host), deliver nothing.
     uint64_t remaining = std::max<uint64_t>(bytes, 1);
     while (remaining > 0) {
-      const uint64_t chunk = std::min<uint64_t>(params_.chunk_bytes, remaining);
+      const uint64_t chunk = std::min<uint64_t>(kChunkBytes, remaining);
       remaining -= chunk;
       const Time queued_at = sim_.now();
       co_await s.tx().acquire();
@@ -61,7 +68,7 @@ Task<bool> Network::transfer(Node& src, Node& dst, uint64_t bytes,
 
   uint64_t remaining = std::max<uint64_t>(bytes, 1);  // header-only msgs move >=1 byte
 
-  if (remaining <= params_.chunk_bytes) {
+  if (remaining <= kChunkBytes) {
     // Single-chunk message (the common case at scale: headers and small
     // I/O).  TX then RX inline in this coroutine — no window semaphore, no
     // spawned receive leg, no wait group.  Costs charged are identical to
@@ -85,15 +92,15 @@ Task<bool> Network::transfer(Node& src, Node& dst, uint64_t bytes,
     co_return faults_ == nullptr || !faults_->node_down(dst.id(), sim_.now());
   }
 
-  // The window keeps at most `flow_window_chunks` chunks between the two
+  // The window keeps at most `kFlowWindowChunks` chunks between the two
   // NICs, so a fast sender cannot run arbitrarily far ahead of a congested
   // receiver (coarse TCP flow control).
-  Semaphore window(sim_, params_.flow_window_chunks);
+  Semaphore window(sim_, kFlowWindowChunks);
   WaitGroup received(sim_);
 
   s.begin_tx_flow();
   while (remaining > 0) {
-    uint64_t chunk = std::min<uint64_t>(params_.chunk_bytes, remaining);
+    uint64_t chunk = std::min<uint64_t>(kChunkBytes, remaining);
     remaining -= chunk;
 
     co_await window.acquire();
@@ -106,9 +113,9 @@ Task<bool> Network::transfer(Node& src, Node& dst, uint64_t bytes,
       // overlaps this batch's receive leg (pipelining is what makes a
       // window-flow hit line rate).  Under sharing, chunk granularity
       // preserves fair interleaving.
-      const uint32_t batch_cap = std::max(1u, params_.flow_window_chunks / 2);
+      const uint32_t batch_cap = std::max(1u, kFlowWindowChunks / 2);
       while (remaining > 0 && permits < batch_cap && window.try_acquire()) {
-        const uint64_t extra = std::min<uint64_t>(params_.chunk_bytes,
+        const uint64_t extra = std::min<uint64_t>(kChunkBytes,
                                                   remaining);
         chunk += extra;
         remaining -= extra;

@@ -68,17 +68,10 @@ class Node {
   const FaultInjector* faults_ = nullptr;
 };
 
-struct NetworkParams {
-  uint64_t chunk_bytes = 256 * 1024;   ///< bandwidth-sharing granularity
-  uint32_t flow_window_chunks = 4;     ///< max in-flight chunks per flow
-  double loopback_bytes_per_sec = 3e9; ///< same-node "transfer" (memcpy-ish)
-};
-
 /// The switched network connecting all nodes.
 class Network {
  public:
-  explicit Network(Simulation& sim, NetworkParams params = {})
-      : sim_(sim), params_(params) {}
+  explicit Network(Simulation& sim) : sim_(sim) {}
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
@@ -92,7 +85,6 @@ class Network {
   Node& node(uint32_t id) { return *nodes_.at(id); }
   size_t node_count() const noexcept { return nodes_.size(); }
   Simulation& simulation() noexcept { return sim_; }
-  const NetworkParams& params() const noexcept { return params_; }
 
   /// Attaches a fault injector.  Existing and future nodes see it (disk
   /// faults); `transfer` consults it for crashes, drops, and delays.  Pass
@@ -120,7 +112,6 @@ class Network {
                     uint32_t window_permits);
 
   Simulation& sim_;
-  NetworkParams params_;
   std::vector<std::unique_ptr<Node>> nodes_;
   FaultInjector* faults_ = nullptr;
 };

@@ -31,6 +31,7 @@ struct FlightEvent {
 
 class FlightRecorder {
  public:
+  /// Every deployment's recorder keeps the default 4096 events.
   explicit FlightRecorder(size_t capacity = 4096)
       : capacity_(capacity == 0 ? 1 : capacity) {}
 

@@ -58,6 +58,9 @@ struct TenantStats {
 /// metrics registry: daemons pick it up at construction time).
 class TenantLedger {
  public:
+  /// `capacity` rows in the Space-Saving heavy-hitter tracker: memory stays
+  /// O(capacity) at thousands of tenants, and counts are exact while the
+  /// distinct tenants fit.
   explicit TenantLedger(size_t capacity = 64) : topk_(capacity) {}
 
   /// Requests slower than this (queue + service, ns) count as over-SLO for

@@ -12,6 +12,12 @@ using sim::Task;
 
 namespace {
 
+/// Seeded per-client start stagger: client i sleeps uniform
+/// [0, kStartStagger) — drawn from fork(i) of kStartStaggerSeed — before
+/// its first op.
+constexpr sim::Duration kStartStagger = sim::ms(20);
+constexpr uint64_t kStartStaggerSeed = 0x57a66e12;
+
 uint64_t total_app_bytes(core::Deployment& d) {
   uint64_t total = 0;
   for (size_t i = 0; i < d.client_count(); ++i) {
@@ -45,16 +51,13 @@ Task<void> drive(core::Deployment& d, Workload& w, RunResult& result,
                 std::string& first_error) -> Task<void> {
       // Seeded start stagger, as on a real cluster (also prevents the
       // phase-locked request convoys a deterministic simulator would
-      // otherwise manufacture).  Uniform per client — unlike the old
-      // linear i*2.3ms ramp, the spread does not grow with client count,
-      // so sweeps compare steady state at every point.
-      const auto& cfg = d.config();
-      if (cfg.start_stagger > 0) {
-        co_await d.simulation().delay(static_cast<sim::Duration>(
-            util::Rng(cfg.start_stagger_seed)
-                .fork(static_cast<uint64_t>(i))
-                .below(static_cast<uint64_t>(cfg.start_stagger))));
-      }
+      // otherwise manufacture), so closed-loop sweeps measure steady state
+      // instead of a lockstep convoy.  Uniform per client: the spread does
+      // not grow with client count.
+      co_await d.simulation().delay(static_cast<sim::Duration>(
+          util::Rng(kStartStaggerSeed)
+              .fork(static_cast<uint64_t>(i))
+              .below(static_cast<uint64_t>(kStartStagger))));
       try {
         co_await w.client_main(d, i);
       } catch (const std::exception& e) {

@@ -273,7 +273,7 @@ TEST(ClientSched, StridedDirtiesDispatchAsOneVectoredWrite) {
 
 TEST(ClientSched, ListioCanBeDisabled) {
   ClientConfig cfg;
-  cfg.listio_enabled = false;
+  cfg.listio_max_regions = 1;  // a one-region list is plain I/O
   Rig r(cfg);
   r.run([](Rig& r) -> Task<void> {
     co_await r.client->mount();

@@ -243,5 +243,38 @@ TEST(DeploymentShape, TwoTierMovesDataBetweenServers) {
             elapsed(Architecture::kDirectPnfs));
 }
 
+TEST(DeploymentShape, NativePvfsFoldsStridedRegionsIntoListIo) {
+  // One 3 MiB write over 4 nodes with 256 KiB stripes leaves each dfile
+  // three regions that are strided in the file: list I/O folds them into
+  // one kWritev per daemon, and the read-back into one kReadv.  A one-region
+  // list turns list I/O off: every region is a plain kWrite/kRead.
+  auto run_strided = [](uint32_t max_regions) {
+    ClusterConfig cfg = small_config(Architecture::kNativePvfs, 1);
+    cfg.pvfs_client.listio_max_regions = max_regions;
+    Deployment d(cfg);
+    run(d, [](Deployment& d) -> Task<void> {
+      std::vector<std::byte> bytes(3_MiB);
+      for (size_t i = 0; i < bytes.size(); ++i) {
+        bytes[i] = static_cast<std::byte>((i * 31 + (i >> 16)) & 0xFF);
+      }
+      const Payload want = Payload::inline_bytes(std::move(bytes));
+      auto f = co_await d.client(0).open("/strided", true);
+      co_await f->write(0, want);
+      const Payload back = co_await f->read(0, 3_MiB);
+      EXPECT_EQ(back, want);
+      co_await f->close();
+    }(d));
+    return dynamic_cast<PvfsFileSystemClient&>(d.client(0)).native().stats();
+  };
+  const pvfs::PvfsClientStats on =
+      run_strided(pvfs::PvfsClientConfig{}.listio_max_regions);
+  EXPECT_EQ(on.vectored_requests, 8u);  // 4 kWritev + 4 kReadv
+  EXPECT_EQ(on.vectored_regions, 24u);
+  const pvfs::PvfsClientStats off = run_strided(1);
+  EXPECT_EQ(off.vectored_requests, 0u);
+  // Each 3-region request became three single-region ones.
+  EXPECT_EQ(off.storage_requests, on.storage_requests + 16);
+}
+
 }  // namespace
 }  // namespace dpnfs::core

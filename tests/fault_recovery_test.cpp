@@ -8,8 +8,10 @@
 // ladder pinned rung by rung for READ, WRITE and COMMIT.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -53,6 +55,7 @@ struct RecoveryOutcome {
   nfs::ClientStats writer{};
   bool data_ok = false;
   bool export_has_recovery = false;
+  std::set<uint32_t> tripped_nodes;  ///< DS nodes whose breaker opened
 };
 
 /// One storage node's NFS daemon (port 2049) crashes at kCrashAt — after the
@@ -68,7 +71,9 @@ RecoveryOutcome run_ds_crash_scenario() {
   cfg.architecture = core::Architecture::kDirectPnfs;
   cfg.storage_nodes = 4;
   cfg.clients = 2;
-  cfg.nfs_client.ds_timeout = sim::ms(20);
+  // The deadline sits above healthy queueing for the 8 MiB writes, so only
+  // the crashed DS fails (LadderMatrix uses the same 250 ms).
+  cfg.nfs_client.ds_timeout = sim::ms(250);
   cfg.nfs_client.ds_rpc_retries = 1;
   cfg.nfs_client.slice_retries = 1;
   cfg.nfs_client.breaker_threshold = 2;
@@ -107,6 +112,13 @@ RecoveryOutcome run_ds_crash_scenario() {
       dynamic_cast<core::NfsFileSystemClient&>(d.client(0)).native().stats();
   out.export_has_recovery =
       d.metrics_json().find("client.recovery") != std::string::npos;
+  for (const auto& e : d.flight().events()) {
+    unsigned node = 0;
+    if (e.kind == "breaker.trip" &&
+        std::sscanf(e.detail.c_str(), "ds node %u", &node) == 1) {
+      out.tripped_nodes.insert(node);
+    }
+  }
   return out;
 }
 
@@ -119,6 +131,8 @@ TEST(FaultRecovery, DsCrashMidWriteRecoversViaMdsFallback) {
   EXPECT_GE(out.writer.breaker_trips, 1u);
   EXPECT_GT(out.writer.layout_refetches, 0u);
   EXPECT_TRUE(out.export_has_recovery);
+  // Only the crashed storage1 trips a breaker; storage0/2/3 stay healthy.
+  EXPECT_EQ(out.tripped_nodes, std::set<uint32_t>{1});
 }
 
 TEST(FaultRecovery, DsCrashScenarioIsDeterministic) {
@@ -130,6 +144,7 @@ TEST(FaultRecovery, DsCrashScenarioIsDeterministic) {
   EXPECT_EQ(a.writer.mds_fallbacks, b.writer.mds_fallbacks);
   EXPECT_EQ(a.writer.breaker_trips, b.writer.breaker_trips);
   EXPECT_EQ(a.writer.layout_refetches, b.writer.layout_refetches);
+  EXPECT_EQ(a.tripped_nodes, b.tripped_nodes);
 }
 
 // ---------------------------------------------------------------------------

@@ -112,8 +112,7 @@ TEST(Network, ZeroByteMessageStillCostsLatency) {
 
 TEST(Network, AsymmetricRatesBottleneckOnSlowerSide) {
   Simulation sim;
-  NetworkParams np;
-  Network net(sim, np);
+  Network net(sim);
   Node& fast = net.add_node(make_node("fast", 1000e6));
   Node& slow = net.add_node(make_node("slow", 100e6));
   sim.spawn(do_transfer(net, fast, slow, 100'000'000));
