@@ -9,10 +9,13 @@
 //
 // This decorator reproduces that prototype artifact: every data operation
 // crosses a bounded buffer pool and pays a kernel/daemon crossing cost plus
-// a loopback copy.  It explains why the paper's Direct-pNFS trails PVFS2
-// slightly on 8-client single-file reads (Fig 7b).  The 2-/3-tier data
-// servers reuse it with a one-buffer pool for their kernel-client traversal
-// (core::Deployment).
+// a loopback copy.  It does not reproduce the paper's Fig 7b, where PVFS2
+// edges past Direct-pNFS on 8-client single-file reads: there the model's
+// Direct-pNFS leads (498.1 against 401.5 MB/s), and a 67x crossing cost, a
+// 15x slower copy or a one-buffer pool each move it by under 1%; it only
+// falls behind once the conduit is slower than the NIC (EXPERIMENTS.md,
+// deviation 1).  The 2-/3-tier data servers reuse it with a one-buffer pool
+// for their kernel-client traversal (core::Deployment).
 #pragma once
 
 #include "nfs/backend.hpp"

@@ -280,6 +280,7 @@ void Deployment::build_direct_pnfs() {
         fabric_, *storage_nodes_[0], pvfs_meta_->address(),
         storage_addresses(), "mds@SIM", mds_cfg));
   }
+  server_pvfs_clients_.back()->attach_liveness_metrics(metrics_);
   auto mds_backend = std::make_unique<PvfsBackend>(*server_pvfs_clients_.back(),
                                                    registry_);
   translator_ = std::make_unique<LayoutTranslator>(*mds_backend, devices);
@@ -326,6 +327,7 @@ void Deployment::build_pnfs_2tier() {
 
   server_pvfs_clients_.push_back(
       make_pvfs_client(*storage_nodes_[0], "mds@SIM", true));
+  server_pvfs_clients_.back()->attach_liveness_metrics(metrics_);
   auto mds_backend = std::make_unique<PvfsBackend>(*server_pvfs_clients_.back(),
                                                    registry_);
   synthetic_layouts_ =
@@ -363,6 +365,7 @@ void Deployment::build_pnfs_3tier() {
   }
 
   server_pvfs_clients_.push_back(make_pvfs_client(*ds_nodes[0], "mds@SIM", true));
+  server_pvfs_clients_.back()->attach_liveness_metrics(metrics_);
   auto mds_backend = std::make_unique<PvfsBackend>(*server_pvfs_clients_.back(),
                                                    registry_);
   synthetic_layouts_ =

@@ -406,9 +406,15 @@ bool PvfsBackend::describe(FileHandle fh, PfsLayoutDescription* out) {
   }
   out->stripe_unit = meta.stripe_unit;
   out->placements.clear();
+  out->down.clear();
   for (const auto& dfile : meta.dfiles) {
     out->placements.push_back(
         PfsLayoutDescription::Placement{dfile.server_index, dfile.object_id});
+    if (client_.daemon_down(dfile.server_index) &&
+        std::find(out->down.begin(), out->down.end(), dfile.server_index) ==
+            out->down.end()) {
+      out->down.push_back(dfile.server_index);
+    }
   }
   return true;
 }

@@ -43,6 +43,14 @@ Task<Status> LayoutTranslator::layout_get(nfs::FileHandle fh,
     out->devices.push_back(devices_[p.storage_index].device);
     out->fhs.push_back(nfs::FileHandle{p.object_id});
   }
+  // Down storage nodes become unavailable devices, for layouts whose
+  // redundancy can serve reads without them.
+  out->unavailable.clear();
+  if (nfs::redundant_aggregation(desc.aggregation)) {
+    for (const uint32_t idx : desc.down) {
+      out->unavailable.push_back(devices_.at(idx).device);
+    }
+  }
   ++layouts_granted_;
   m_layouts_granted_->inc();
   co_return Status::kOk;

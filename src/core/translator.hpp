@@ -35,6 +35,8 @@ struct PfsLayoutDescription {
   };
   std::vector<Placement> placements;
   std::vector<uint64_t> params;  ///< aggregation-driver parameters
+  /// Storage indexes among `placements` the PFS currently believes down.
+  std::vector<uint32_t> down;
 };
 
 /// Supplies the translator with PFS layout descriptions, keyed by the

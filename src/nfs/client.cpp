@@ -104,6 +104,7 @@ NfsClient::NfsClient(rpc::RpcFabric& fabric, sim::Node& node,
   m_breaker_trips_ = &reg.counter(n, "client.recovery", "breaker_trips");
   m_layout_refetches_ = &reg.counter(n, "client.recovery", "layout_refetches");
   m_rpc_retries_ = &reg.counter(n, "client.recovery", "rpc_retries");
+  m_devices_flagged_ = &reg.counter(n, "client.recovery", "devices_flagged");
   m_verifier_mismatches_ =
       &reg.counter(n, "client.replay", "verifier_mismatches");
   m_replayed_extents_ = &reg.counter(n, "client.replay", "replayed_extents");
@@ -636,6 +637,7 @@ Task<NfsClient::FilePtr> NfsClient::open(const std::string& path, bool create,
   if (config_.pnfs_enabled && r.try_next(OpCode::kLayoutGet) == Status::kOk) {
     FileLayout l = LayoutGetRes::decode(r.dec()).layout;
     if (layout_usable(l)) {
+      note_layout_flags(open_res.attr.fileid, l);
       layout = std::move(l);
     } else {
       util::logf(util::LogLevel::kWarn, "nfs.client",
@@ -820,7 +822,8 @@ std::vector<NfsClient::IoSlice> NfsClient::route(FileState& f, uint64_t offset,
                                    seg.file_offset, seg.length);
       slice.parity = seg.parity;
       if (!for_write && redundant &&
-          device_unhealthy(f, seg.device_index, seg.file_offset, end)) {
+          device_unhealthy(f, seg.device_index, seg.file_offset, end,
+                           /*reading=*/true)) {
         // Health-aware replica selection: route the read to a surviving
         // copy up front instead of burning retries on a sick device.
         // Erasure-coded layouts have no same-bytes replica; their slices go
@@ -862,6 +865,17 @@ bool NfsClient::breaker_open(const rpc::RpcAddress& addr) const {
   const auto it = ds_health_.find(addr);
   return it != ds_health_.end() &&
          fabric_.simulation().now() < it->second.open_until;
+}
+
+void NfsClient::note_layout_flags(uint64_t fileid, const FileLayout& l) {
+  if (l.unavailable.empty()) return;
+  tally(stats_.devices_flagged, m_devices_flagged_, l.unavailable.size());
+  std::string ids;
+  for (const DeviceId& d : l.unavailable) {
+    ids += (ids.empty() ? "" : ",") + std::to_string(d.id);
+  }
+  note_flight("layout.flagged", "fileid %llu unavailable devices %s",
+              static_cast<unsigned long long>(fileid), ids.c_str());
 }
 
 void NfsClient::record_ds_result(const rpc::RpcAddress& addr, bool ok) {
@@ -907,7 +921,10 @@ Task<void> NfsClient::refetch_layout(FileState& f, bool force) {
     r.expect(OpCode::kPutFh);
     if (r.try_next(OpCode::kLayoutGet) == Status::kOk) {
       FileLayout l = LayoutGetRes::decode(r.dec()).layout;
-      if (layout_usable(l)) f.layout = std::move(l);
+      if (layout_usable(l)) {
+        note_layout_flags(f.attr.fileid, l);
+        f.layout = std::move(l);
+      }
     }
   } catch (const NfsError&) {
     // Keep the stale layout; per-slice fallback still makes progress.
@@ -1013,11 +1030,17 @@ bool replica_span(const FileLayout& l, size_t avoid, size_t* base,
 }  // namespace
 
 bool NfsClient::device_unhealthy(const FileState& f, size_t device,
-                                 uint64_t start, uint64_t end) const {
+                                 uint64_t start, uint64_t end,
+                                 bool reading) const {
   if (!f.layout || device >= f.layout->devices.size()) return false;
-  const auto it = devices_.find(f.layout->devices[device]);
+  const DeviceId id = f.layout->devices[device];
+  const auto it = devices_.find(id);
   if (it == devices_.end()) return true;
   if (breaker_open(it->second)) return true;
+  const auto& down = f.layout->unavailable;
+  if (reading && std::find(down.begin(), down.end(), id) != down.end()) {
+    return true;
+  }
   const auto d = f.degraded.find(device);
   return d != f.degraded.end() && d->second.intersects(start, end);
 }
@@ -1035,7 +1058,7 @@ size_t NfsClient::next_replica(const FileState& f, size_t home, size_t* step,
   while (*step < count) {
     const size_t cand = base + ((home - base) + (*step)++) % count;
     if (cand < f.layout->devices.size() &&
-        !device_unhealthy(f, cand, start, end)) {
+        !device_unhealthy(f, cand, start, end, /*reading=*/true)) {
       return cand;
     }
   }
@@ -1046,44 +1069,70 @@ Task<bool> NfsClient::ec_reconstruct_block(FileState& f, const IoSlice& slice,
                                            Payload& block) {
   const auto geo = EcGeometry::from(*f.layout);
   if (!geo) co_return false;
-  const uint64_t su = geo->su;
-  const uint64_t stripe = slice.file_offset / su;
-  const size_t want = static_cast<size_t>(stripe % geo->k);
+  const uint64_t stripe = slice.file_offset / geo->su;
   const uint64_t grp = stripe / geo->k;
-  const uint64_t grp_start = grp * geo->group_bytes();
-  const uint64_t grp_end = grp_start + geo->group_bytes();
-  const size_t n = static_cast<size_t>(geo->k + geo->m);
 
-  // Gather su-sized shards of the group from any k healthy devices.  Every
-  // shard of group g — data and parity alike — sits at device offset g*su;
-  // short reads zero-fill, matching the zero padding the writer encoded
-  // over.
-  std::vector<std::optional<std::vector<std::byte>>> shards(n);
-  uint64_t have = 0;
-  for (size_t dev = 0; dev < n && have < geo->k; ++dev) {
-    if (dev == want) continue;
-    if (device_unhealthy(f, dev, grp_start, grp_end)) continue;
-    const IoSlice sh = device_slice(
-        f, dev, grp * su, dev < geo->k ? grp_start + dev * su : grp_start, su);
-    try {
-      Payload p;
-      co_await read_slice_op(sh, p);
-      record_ds_result(sh.addr, true);
-      const auto span = p.data();
-      std::vector<std::byte> bytes(static_cast<size_t>(su), std::byte{0});
-      std::copy(span.begin(), span.end(), bytes.begin());
-      shards[dev] = std::move(bytes);
-      ++have;
-    } catch (const NfsError&) {
-      record_ds_result(sh.addr, false);
-    }
+  // Reed-Solomon codes each byte position of a stripe group on its own, so
+  // the slice's bytes decode from the same byte range of k other shards.
+  // Every shard of group g — data and parity alike — sits at device offset
+  // g*su; short reads zero-fill, matching the zero padding the writer
+  // encoded over.  k fetchers run at once, each walking the devices in
+  // order from a shared cursor and moving on only when its read fails: at
+  // most k shards are held, and they are the first k devices that answer —
+  // the set a one-at-a-time walk gathers.
+  struct Gather {
+    size_t want = 0;
+    uint64_t grp_start = 0;
+    uint64_t in_block = 0;
+    size_t next_dev = 0;
+    uint64_t have = 0;
+    std::vector<std::optional<std::vector<std::byte>>> shards;
+  } g;
+  g.want = static_cast<size_t>(stripe % geo->k);
+  g.grp_start = grp * geo->group_bytes();
+  g.in_block = slice.file_offset % geo->su;
+  g.shards.resize(static_cast<size_t>(geo->k + geo->m));
+  sim::WaitGroup wg(fabric_.simulation());
+  for (uint64_t i = 0; i < geo->k; ++i) {
+    wg.spawn([](NfsClient& self, FileState& f, EcGeometry geo, uint64_t grp,
+                uint64_t len, Gather& g) -> Task<void> {
+      while (g.next_dev < g.shards.size()) {
+        const size_t dev = g.next_dev++;
+        if (dev == g.want ||
+            self.device_unhealthy(f, dev, g.grp_start,
+                                  g.grp_start + geo.group_bytes(),
+                                  /*reading=*/true)) {
+          continue;
+        }
+        const uint64_t shard_file_offset =
+            dev < geo.k ? g.grp_start + dev * geo.su : g.grp_start;
+        const IoSlice sh =
+            self.device_slice(f, dev, grp * geo.su + g.in_block,
+                              shard_file_offset + g.in_block, len);
+        try {
+          Payload p;
+          co_await self.read_slice_op(sh, p);
+          self.record_ds_result(sh.addr, true);
+          // Virtual payloads carry no bytes: they code as zeros.
+          const auto span = p.data();
+          std::vector<std::byte> bytes(static_cast<size_t>(len), std::byte{0});
+          std::copy(span.begin(), span.end(), bytes.begin());
+          g.shards[dev] = std::move(bytes);
+          ++g.have;
+          co_return;
+        } catch (const NfsError&) {
+          self.record_ds_result(sh.addr, false);
+        }
+      }
+    }(*this, f, *geo, grp, slice.length, g));
   }
-  if (have < geo->k) co_return false;
+  co_await wg.wait();
+  if (g.have < geo->k) co_return false;
 
   util::ReedSolomon rs(static_cast<uint32_t>(geo->k),
                        static_cast<uint32_t>(geo->m));
-  if (!rs.reconstruct(&shards) || !shards[want]) co_return false;
-  block = Payload::inline_bytes(std::move(*shards[want]));
+  if (!rs.reconstruct(&g.shards) || !g.shards[g.want]) co_return false;
+  block = Payload::inline_bytes(std::move(*g.shards[g.want]));
   tally(stats_.ec_reconstructions, m_ec_reconstructions_);
   co_return true;
 }
@@ -1103,14 +1152,13 @@ Task<bool> NfsClient::degraded_read(FileState& f, IoSlice slice, Payload& out) {
     uint64_t pos = slice.file_offset;
     const uint64_t end = pos + slice.length;
     while (pos < end) {
-      const uint64_t block_start = pos / geo->su * geo->su;
-      const uint64_t take = std::min(geo->su - (pos - block_start), end - pos);
+      const uint64_t take = std::min(geo->su - pos % geo->su, end - pos);
       IoSlice sub = slice;
       sub.file_offset = pos;
       sub.length = take;
-      Payload block;
-      if (!co_await ec_reconstruct_block(f, sub, block)) co_return false;
-      assembled.append(block.slice(pos - block_start, take));
+      Payload piece;
+      if (!co_await ec_reconstruct_block(f, sub, piece)) co_return false;
+      assembled.append(std::move(piece));
       pos += take;
     }
     out = std::move(assembled);
@@ -1317,16 +1365,19 @@ Task<void> NfsClient::commit_op(const IoSlice& target, uint64_t* verifier) {
 template <typename Attempt, typename Redundant>
 Task<void> NfsClient::run_ladder(FileState& f, IoSlice slice,
                                  StatusCollector& errors, Attempt attempt,
-                                 Redundant redundant, bool data_op) {
+                                 Redundant redundant, LadderOp op) {
+  const bool data_op = op != LadderOp::kCommit;
   const bool via_ds = slice.device_index != IoSlice::kMds;
   const bool has_redundancy =
       via_ds && f.layout && redundant_aggregation(f.layout->aggregation);
-  // Known-unhealthy home device (open breaker, or a degraded range a dead
-  // incarnation never received): go straight to the surviving redundancy
-  // instead of burning the retry budget.
+  // Known-unhealthy home device (open breaker, a degraded range a dead
+  // incarnation never received, or — for reads — a device the layout marks
+  // unavailable): go straight to the surviving redundancy instead of
+  // burning the retry budget.
   if (data_op && has_redundancy &&
       device_unhealthy(f, slice.device_index, slice.file_offset,
-                       slice.file_offset + slice.length) &&
+                       slice.file_offset + slice.length,
+                       op == LadderOp::kRead) &&
       co_await redundant(slice)) {
     co_return;
   }
@@ -1375,7 +1426,7 @@ Task<void> NfsClient::read_ladder(FileState& f, IoSlice slice, Payload& out,
       f, slice, errors,
       [this, &out](const IoSlice& s) { return read_slice_op(s, out); },
       [this, &f, &out](const IoSlice& s) { return degraded_read(f, s, out); },
-      /*data_op=*/true);
+      LadderOp::kRead);
 }
 
 Task<void> NfsClient::write_ladder(FileState& f, IoSlice slice, Payload piece,
@@ -1392,7 +1443,7 @@ Task<void> NfsClient::write_ladder(FileState& f, IoSlice slice, Payload piece,
         note_degraded_write(f, s);
         co_return true;
       },
-      /*data_op=*/true);
+      LadderOp::kWrite);
 }
 
 Task<void> NfsClient::commit_ladder(FileState& f, size_t device_index,
@@ -1416,7 +1467,7 @@ Task<void> NfsClient::commit_ladder(FileState& f, size_t device_index,
         note_degraded_commit(f, s.device_index);
         co_return true;
       },
-      /*data_op=*/false);
+      LadderOp::kCommit);
 }
 
 template <typename Whole, typename Region>
@@ -1636,19 +1687,32 @@ Task<uint64_t> NfsClient::fetch_range(FilePtr file, uint64_t start,
       }
     }
     // Group per device (one filehandle per compound), then split each group
-    // into region- and byte-capped batches, preserving offset order.
+    // into region- and byte-capped batches, preserving offset order.  A
+    // slice whose device is unhealthy goes alone, straight to its ladder's
+    // redundant rung, so no vectored attempt is aimed at that device.
     std::map<size_t, std::vector<SliceRef>> groups;
     for (auto& r : refs) groups[r.slice.device_index].push_back(r);
+    const bool redundant = file->layout.has_value() &&
+                           redundant_aggregation(file->layout->aggregation);
     std::vector<std::vector<SliceRef>> batches;
     for (auto& [dev, group] : groups) {
       std::vector<SliceRef> cur;
       uint64_t bytes = 0;
       for (auto& r : group) {
-        if (!cur.empty() && (cur.size() >= config_.listio_max_regions ||
-                             bytes + r.slice.length > config_.rsize)) {
+        const bool alone =
+            redundant && device_unhealthy(*file, dev, r.slice.file_offset,
+                                          r.slice.file_offset + r.slice.length,
+                                          /*reading=*/true);
+        if (!cur.empty() &&
+            (alone || cur.size() >= config_.listio_max_regions ||
+             bytes + r.slice.length > config_.rsize)) {
           batches.push_back(std::move(cur));
           cur.clear();
           bytes = 0;
+        }
+        if (alone) {
+          batches.push_back({r});
+          continue;
         }
         cur.push_back(r);
         bytes += r.slice.length;

@@ -124,6 +124,7 @@ struct ClientStats {
   uint64_t mds_fallbacks = 0;       ///< slices degraded to MDS proxy I/O
   uint64_t breaker_trips = 0;       ///< DS circuit breakers opened
   uint64_t layout_refetches = 0;    ///< LAYOUTGETs after slice failures
+  uint64_t devices_flagged = 0;     ///< unavailable devices layouts named
   // Unstable-write replay (mirrored in the "client.replay" component).
   uint64_t verifier_mismatches = 0; ///< WRITE/COMMIT verifier changes seen
   uint64_t replayed_extents = 0;    ///< retained extents re-dirtied for replay
@@ -328,18 +329,20 @@ class NfsClient {
   /// its reply carried in `*verifier` (when non-null).
   sim::Task<void> commit_op(const IoSlice& target, uint64_t* verifier);
 
+  enum class LadderOp { kRead, kWrite, kCommit };
   /// The recovery ladder every READ, WRITE and COMMIT slice climbs (see
   /// docs/failures.md): same-DS retries, the redundant-layout rung, then a
   /// reissue through the MDS.  `attempt(s)` issues the op against slice `s`;
   /// `redundant(s)` serves it from surviving redundancy (true: served).
-  /// `data_op` (READ/WRITE) consults device health before the first attempt
-  /// and re-fetches the layout before the MDS reissue.  Errors land in the
-  /// collector.  Both callables live in the ladder's frame, so whatever they
-  /// capture stays valid across every await.
+  /// READ and WRITE consult device health before the first attempt (a READ
+  /// also heeds the layout's unavailable devices) and re-fetch the layout
+  /// before the MDS reissue.  Errors land in the collector.  Both callables
+  /// live in the ladder's frame, so whatever they capture stays valid across
+  /// every await.
   template <typename Attempt, typename Redundant>
   sim::Task<void> run_ladder(FileState& f, IoSlice slice,
                              StatusCollector& errors, Attempt attempt,
-                             Redundant redundant, bool data_op);
+                             Redundant redundant, LadderOp op);
   sim::Task<void> read_ladder(FileState& f, IoSlice slice, rpc::Payload& out,
                               StatusCollector& errors);
   sim::Task<void> write_ladder(FileState& f, IoSlice slice, rpc::Payload piece,
@@ -377,6 +380,9 @@ class NfsClient {
 
   // Per-data-server health (consecutive-failure circuit breaker).
   bool breaker_open(const rpc::RpcAddress& addr) const;
+  /// Counts and records the unavailable devices a freshly granted layout
+  /// names.
+  void note_layout_flags(uint64_t fileid, const FileLayout& l);
   void record_ds_result(const rpc::RpcAddress& addr, bool ok);
   sim::Task<void> refetch_layout(FileState& f, bool force = false);
   sim::Task<void> flush_dirty(FilePtr file, bool only_full_chunks,
@@ -385,8 +391,10 @@ class NfsClient {
   // -- Redundancy (replicated / nested-mirror / erasure-coded layouts) -----
   /// True when this device may not hold valid bytes for [start, end): its
   /// breaker is open or the range overlaps its degraded (skipped-write) set.
-  bool device_unhealthy(const FileState& f, size_t device,
-                        uint64_t start, uint64_t end) const;
+  /// When `reading`, a device the layout marks unavailable counts too: a
+  /// false mark then costs redundant wire bytes, never a skipped write.
+  bool device_unhealthy(const FileState& f, size_t device, uint64_t start,
+                        uint64_t end, bool reading) const;
   /// For replicated/nested layouts: the next healthy device holding the
   /// same bytes as `home` over [start, end), walking the mirror group from
   /// `*step` (1 = home's successor) and advancing it past the result.
@@ -398,9 +406,10 @@ class NfsClient {
   /// erasure shards.  Fills `out` and returns true on success.
   sim::Task<bool> degraded_read(FileState& f, IoSlice slice,
                                 rpc::Payload& out);
-  /// Reads the `su`-sized erasure shards of the group containing
-  /// `slice.file_offset` from any k healthy devices and decodes the target
-  /// block.  Returns the reconstructed block (zero-padded to su).
+  /// Rebuilds `slice`'s bytes (within one su block) from the same byte
+  /// range of k other shards of its stripe group, read from the first k
+  /// healthy devices concurrently, moving on to the next device only when
+  /// one fails.  `block` receives exactly `slice.length` bytes.
   sim::Task<bool> ec_reconstruct_block(FileState& f, const IoSlice& slice,
                                        rpc::Payload& block);
   /// Records that `slice`'s bytes were not written to its device (the
@@ -510,6 +519,7 @@ class NfsClient {
   obs::Counter* m_breaker_trips_;
   obs::Counter* m_layout_refetches_;
   obs::Counter* m_rpc_retries_;
+  obs::Counter* m_devices_flagged_;
   // "client.replay" component handles.
   obs::Counter* m_verifier_mismatches_;
   obs::Counter* m_replayed_extents_;

@@ -13,6 +13,7 @@
 // the two standard schemes.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -73,6 +74,12 @@ constexpr bool redundant_aggregation(AggregationType t) noexcept {
          t == AggregationType::kErasureCoded;
 }
 
+/// Aggregation-word bit: an unavailable-device list follows the params.
+/// Raised by the encoder iff `FileLayout::unavailable` is non-empty, so a
+/// layout with every device up keeps the legacy byte layout exactly (the
+/// same trick as rpc::kFlagHasTenant in the call header).
+inline constexpr uint32_t kLayoutFlagUnavailable = 0x80000000u;
+
 /// A pNFS file-based layout for a whole file.
 struct FileLayout {
   AggregationType aggregation = AggregationType::kRoundRobin;
@@ -80,22 +87,30 @@ struct FileLayout {
   std::vector<DeviceId> devices;   ///< stripe order
   std::vector<FileHandle> fhs;     ///< per-device data-server filehandles
   std::vector<uint64_t> params;    ///< aggregation-driver parameters
+  /// Devices of this layout the MDS believes down (redundant layouts only):
+  /// clients read around them from the first request instead of each
+  /// rediscovering the loss through its own deadlines.  Writes still go to
+  /// them.
+  std::vector<DeviceId> unavailable;
 
   bool valid() const noexcept {
     return stripe_unit > 0 && !devices.empty() && fhs.size() == devices.size();
   }
 
   void encode(rpc::XdrEncoder& enc) const {
-    enc.put_u32(static_cast<uint32_t>(aggregation));
+    const uint32_t agg = static_cast<uint32_t>(aggregation);
+    enc.put_u32(unavailable.empty() ? agg : (agg | kLayoutFlagUnavailable));
     enc.put_u64(stripe_unit);
     enc.put_array(devices);
     enc.put_array(fhs);
     enc.put_u32(static_cast<uint32_t>(params.size()));
     for (uint64_t p : params) enc.put_u64(p);
+    if (!unavailable.empty()) enc.put_array(unavailable);
   }
   static FileLayout decode(rpc::XdrDecoder& dec) {
     FileLayout l;
-    const uint32_t agg = dec.get_u32();
+    const uint32_t word = dec.get_u32();
+    const uint32_t agg = word & ~kLayoutFlagUnavailable;
     if (agg < 1 || agg > 6) throw rpc::XdrError("bad aggregation type");
     l.aggregation = static_cast<AggregationType>(agg);
     l.stripe_unit = dec.get_u64();
@@ -105,6 +120,27 @@ struct FileLayout {
     if (n > 4096) throw rpc::XdrError("too many layout params");
     l.params.reserve(n);
     for (uint32_t i = 0; i < n; ++i) l.params.push_back(dec.get_u64());
+    if ((word & kLayoutFlagUnavailable) != 0) {
+      // A non-empty subset of the device list, each device named once:
+      // anything else would not re-encode to the same bytes.
+      if (!redundant_aggregation(l.aggregation)) {
+        throw rpc::XdrError("unavailable devices on a non-redundant layout");
+      }
+      const uint32_t count = dec.get_u32();
+      if (count == 0 || count > l.devices.size()) {
+        throw rpc::XdrError("bad unavailable-device count");
+      }
+      for (uint32_t i = 0; i < count; ++i) {
+        const DeviceId d = DeviceId::decode(dec);
+        if (std::find(l.devices.begin(), l.devices.end(), d) ==
+                l.devices.end() ||
+            std::find(l.unavailable.begin(), l.unavailable.end(), d) !=
+                l.unavailable.end()) {
+          throw rpc::XdrError("unavailable device not in the layout");
+        }
+        l.unavailable.push_back(d);
+      }
+    }
     return l;
   }
 };

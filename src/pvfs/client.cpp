@@ -17,6 +17,10 @@ namespace {
 constexpr uint32_t kPvfsVersion = 2;
 constexpr uint64_t kBufferSize = 4ull << 20;  ///< max bytes per storage request
 constexpr sim::Duration kCpuPerRequest = sim::us(400);
+/// How long a daemon marked down stays out of redundant gathers before one
+/// request probes it again.  Long enough that a dead daemon costs one
+/// deadline per hold rather than one per gather.
+constexpr sim::Duration kDownProbeHold = sim::sec(5);
 }  // namespace
 
 PvfsClient::PvfsClient(rpc::RpcFabric& fabric, sim::Node& node,
@@ -38,6 +42,43 @@ PvfsClient::PvfsClient(rpc::RpcFabric& fabric, sim::Node& node,
       &reg.counter(n, "client.replay", "verifier_mismatches");
   m_replayed_extents_ = &reg.counter(n, "client.replay", "replayed_extents");
   m_replayed_bytes_ = &reg.counter(n, "client.replay", "replayed_bytes");
+}
+
+void PvfsClient::attach_liveness_metrics(obs::MetricsRegistry& registry) {
+  const std::string& n = node_.name();
+  m_daemons_marked_down_ =
+      &registry.counter(n, "mds.liveness", "daemons_marked_down");
+  m_daemons_marked_up_ =
+      &registry.counter(n, "mds.liveness", "daemons_marked_up");
+  m_gathers_skipped_ = &registry.counter(n, "mds.liveness", "gathers_skipped");
+}
+
+void PvfsClient::note_daemon_reply(uint32_t server_index, bool ok) {
+  DaemonState& d = daemons_.at(server_index);
+  const sim::Time now = fabric_.simulation().now();
+  if (!ok) d.probe_at = now + kDownProbeHold;
+  const bool was_down = d.down;
+  d.down = !ok;
+  if (was_down == d.down) return;
+  (ok ? m_daemons_marked_up_ : m_daemons_marked_down_)->inc();
+  if (obs::FlightRecorder* flight = fabric_.flight()) {
+    flight->record(now, node_.name(), "pvfs.client",
+                   ok ? "daemon.up" : "daemon.down",
+                   util::sformat("daemon %u",
+                                 static_cast<unsigned>(server_index)));
+  }
+}
+
+bool PvfsClient::skip_down_daemon(uint32_t server_index) {
+  DaemonState& d = daemons_.at(server_index);
+  if (!d.down) return false;
+  const sim::Time now = fabric_.simulation().now();
+  if (now >= d.probe_at) {
+    d.probe_at = now + kDownProbeHold;
+    return false;
+  }
+  m_gathers_skipped_->inc();
+  return true;
 }
 
 PvfsStatus PvfsClient::reply_status(XdrDecoder& dec) {
@@ -83,9 +124,9 @@ Task<rpc::RpcClient::Reply> PvfsClient::io_call(uint32_t server_index,
                                   static_cast<uint32_t>(proc), std::move(args),
                                   opts);
   buffers_.release();
-  if (reply.transport != rpc::Status::kOk) {
-    throw PvfsError(PvfsStatus::kIo, "storage RPC timed out");
-  }
+  const bool ok = reply.transport == rpc::Status::kOk;
+  note_daemon_reply(server_index, ok);
+  if (!ok) throw PvfsError(PvfsStatus::kIo, "storage RPC timed out");
   co_return reply;
 }
 
@@ -467,7 +508,12 @@ Task<PvfsFilePtr> PvfsClient::create(const std::string& path) {
   // full distribution eagerly at create time).
   sim::WaitGroup wg(fabric_.simulation());
   uint32_t failures = 0;
+  const bool redundant = file->meta.kind != DistKind::kStripe;
   for (const auto& dfile : file->meta.dfiles) {
+    if (redundant && skip_down_daemon(dfile.server_index)) {
+      ++failures;  // what the deadline would have produced, only sooner
+      continue;
+    }
     wg.spawn([](PvfsClient& self, const DfileRef dfile,
                 uint32_t& failures) -> Task<void> {
       XdrEncoder a;
@@ -520,7 +566,12 @@ Task<uint64_t> PvfsClient::fetch_size(PvfsFilePtr file) {
   std::vector<uint64_t> sizes(file->meta.dfiles.size(), 0);
   sim::WaitGroup wg(fabric_.simulation());
   bool failed = false;
+  const bool redundant = file->meta.kind != DistKind::kStripe;
   for (size_t i = 0; i < file->meta.dfiles.size(); ++i) {
+    // A down daemon's size is left out, as its deadline would leave it.
+    if (redundant && skip_down_daemon(file->meta.dfiles[i].server_index)) {
+      continue;
+    }
     wg.spawn([](PvfsClient& self, const DfileRef dfile, uint64_t& out,
                 bool& failed) -> Task<void> {
       XdrEncoder a;

@@ -105,6 +105,16 @@ class PvfsClient {
 
   const PvfsClientStats& stats() const noexcept { return stats_; }
 
+  /// True while storage daemon `server_index` is marked down: an
+  /// io_call to it ran out of retries and no reply from it has arrived
+  /// since.
+  bool daemon_down(uint32_t server_index) const {
+    return daemons_.at(server_index).down;
+  }
+  /// Wires the "mds.liveness" counters on this client's node (the MDS's
+  /// PVFS client; other clients track liveness uncounted).
+  void attach_liveness_metrics(obs::MetricsRegistry& registry);
+
   /// Forgets all retained/stale write pieces and known daemon verifiers.
   /// Called when the *host* of this client restarts (e.g. a pNFS data
   /// server proxying through it): the new incarnation must not resurrect
@@ -134,6 +144,11 @@ class PvfsClient {
     /// Pieces orphaned by a daemon restart (verifier changed before their
     /// commit): must be re-sent by the next fsync.
     std::map<uint64_t, PieceMap> stale;
+    /// Liveness: set when an io_call exhausts its retries, cleared by the
+    /// daemon's next reply.  While set, redundant gathers leave the daemon
+    /// out until `probe_at`, when one request goes through as a probe.
+    bool down = false;
+    sim::Time probe_at = 0;
   };
 
   /// One (dfile offset, length) region of a vectored storage request.
@@ -163,6 +178,12 @@ class PvfsClient {
                                     const std::vector<IoRange>& regions,
                                     rpc::Payload data, obs::TraceContext trace);
   static PvfsStatus reply_status(rpc::XdrDecoder& dec);
+  /// Liveness evidence from one io_call's outcome.
+  void note_daemon_reply(uint32_t server_index, bool ok);
+  /// True when a gather that tolerates the loss of daemon `server_index`
+  /// should leave it out: it is down and its probe is not due.  A due probe
+  /// is let through and the next one scheduled.
+  bool skip_down_daemon(uint32_t server_index);
 
   /// One storage request's share of a stripe extent, with its bytes (the
   /// data to write, or the data read back).
@@ -208,6 +229,10 @@ class PvfsClient {
   obs::Counter* m_verifier_mismatches_;
   obs::Counter* m_replayed_extents_;
   obs::Counter* m_replayed_bytes_;
+  // "mds.liveness" component handles (null unless attached).
+  obs::Counter* m_daemons_marked_down_ = &obs::MetricsRegistry::null_counter();
+  obs::Counter* m_daemons_marked_up_ = &obs::MetricsRegistry::null_counter();
+  obs::Counter* m_gathers_skipped_ = &obs::MetricsRegistry::null_counter();
 };
 
 }  // namespace dpnfs::pvfs

@@ -4,8 +4,9 @@
 // retries, layout re-fetch, and MDS fallback — with byte-identical data),
 // RPC deadlines that expire instead of hanging, retries appearing as child
 // spans of one trace, whole-node crash + revive, a layout recall racing
-// in-flight recovery, disk faults surfacing as I/O errors, and the recovery
-// ladder pinned rung by rung for READ, WRITE and COMMIT.
+// in-flight recovery, disk faults surfacing as I/O errors, the recovery
+// ladder pinned rung by rung for READ, WRITE and COMMIT, and the MDS's
+// down-mark on a storage daemon cleared by its first reply after a restart.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -278,6 +279,79 @@ TEST(FaultRecovery, LadderMatrix) {
     EXPECT_EQ(out.stats.layout_refetches, c.refetches);
     EXPECT_EQ(out.kinds, c.kinds);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Shared device liveness across a storage-daemon restart
+// ---------------------------------------------------------------------------
+
+TEST(FaultRecovery, RestartedDaemonIsClearedAndUnflagged) {
+  // EC(4+2): storage1's PVFS I/O daemon is down from 1 s to 1.5 s.  A
+  // GETATTR at 1.01 s makes the MDS's size gather time out and mark it
+  // down.  At 2 s the daemon is back but the MDS has sent it nothing, so a
+  // cold open still gets the device flagged.  Past the probe hold, the next
+  // gather probes it; that first successful reply clears the mark, and the
+  // layout granted in the same OPEN names no device.
+  constexpr uint32_t kVictim = 1;
+  core::ClusterConfig cfg;
+  cfg.architecture = core::Architecture::kDirectPnfs;
+  cfg.storage_nodes = 6;
+  cfg.clients = 4;
+  cfg.stripe_unit = 256_KiB;
+  cfg.distribution = pvfs::DistKind::kErasure;
+  cfg.ec_k = 4;
+  cfg.ec_m = 2;
+  core::fail_fast_on_loss(cfg);
+  cfg.faults.crash_service(kVictim, rpc::kPvfsIoPort, sim::sec(1),
+                           sim::ms(1500));
+  core::Deployment d(cfg);
+  struct Outcome {
+    uint64_t down_after_gather = 0;
+    size_t flagged_while_unprobed = 0;
+    uint64_t up_before_probe = 0;
+    uint64_t up_after_probe = 0;
+    size_t flagged_after_probe = 99;
+  } out;
+  const auto counter = [&d](const char* name) {
+    const obs::Counter* c = d.metrics().find_counter("storage0", "mds.liveness",
+                                                     name);
+    return c == nullptr ? uint64_t{0} : c->value();
+  };
+  d.simulation().spawn([](core::Deployment& d, Outcome& out,
+                          auto counter) -> Task<void> {
+    auto& sim = d.simulation();
+    const auto native = [&d](size_t i) -> nfs::NfsClient& {
+      return dynamic_cast<core::NfsFileSystemClient&>(d.client(i)).native();
+    };
+    co_await d.mount_all();
+    auto f = co_await d.client(0).open("/f", true);
+    co_await f->write(0, pattern_payload(0, 2_MiB));
+    co_await f->close();
+    co_await sim.delay(sim::ms(1010) - sim.now());
+    co_await d.client(1).stat_size("/f");
+    out.down_after_gather = counter("daemons_marked_down");
+
+    co_await sim.delay(sim::sec(2) - sim.now());
+    auto g = co_await native(2).open("/f", false, true);
+    out.flagged_while_unprobed = g->layout->unavailable.size();
+    co_await native(2).close(g);
+    out.up_before_probe = counter("daemons_marked_up");
+
+    co_await sim.delay(sim::sec(8) - sim.now());
+    auto h = co_await native(3).open("/f", false, true);
+    out.up_after_probe = counter("daemons_marked_up");
+    out.flagged_after_probe = h->layout->unavailable.size();
+    co_await native(3).close(h);
+  }(d, out, counter));
+  d.simulation().run();
+  EXPECT_EQ(out.down_after_gather, 1u);
+  EXPECT_EQ(out.flagged_while_unprobed, 1u);
+  EXPECT_EQ(out.up_before_probe, 0u);
+  EXPECT_EQ(out.up_after_probe, 1u);
+  EXPECT_EQ(out.flagged_after_probe, 0u);
+  const std::string flight = d.flight_json();
+  EXPECT_NE(flight.find("daemon.down"), std::string::npos);
+  EXPECT_NE(flight.find("daemon.up"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

@@ -13,6 +13,9 @@
 //     objects onto the spare, and a fresh-layout verifier then reads the
 //     rebuilt copies byte-identical;
 //   - two same-seed invocations produce bit-identical outcomes.
+// The shared-device-liveness cases below check that once the MDS has seen
+// the dead daemon fail, a cold client reads around it without sending it a
+// byte, while writes and striped layouts are left alone.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -273,6 +276,204 @@ TEST(PermanentKill, ErasureRebuildsOntoSpare) {
   cfg.ec_k = 4;
   cfg.ec_m = 2;
   run_twice(cfg, /*erasure=*/true);
+}
+
+// ---------------------------------------------------------------------------
+// Shared device liveness: the MDS marks a storage daemon down from its own
+// failed gathers and names the device unavailable in redundant layouts, so
+// a cold client reads around it without ever probing it.
+// ---------------------------------------------------------------------------
+
+// Two rsize pieces: one read fans out as list I/O batches per device.
+constexpr uint64_t kLiveBytes = 4_MiB;
+constexpr sim::Time kLiveKillAt = sim::sec(1);
+
+uint64_t counter_value(const core::Deployment& d, const std::string& node,
+                       const std::string& component, const std::string& name) {
+  const obs::Counter* c = d.metrics().find_counter(node, component, name);
+  return c == nullptr ? 0 : c->value();
+}
+
+/// Bytes the victim's NIC has received so far.
+uint64_t victim_rx_bytes(core::Deployment& d) {
+  d.metrics_json();  // folds the NIC counters into the "node" gauges
+  const obs::Gauge* g = d.metrics().find_gauge(
+      "storage" + std::to_string(kVictim), "node", "nic_rx_bytes");
+  return g == nullptr ? 0 : static_cast<uint64_t>(g->value());
+}
+
+nfs::NfsClient& native(core::Deployment& d, size_t i) {
+  return dynamic_cast<core::NfsFileSystemClient&>(d.client(i)).native();
+}
+
+/// Direct-pNFS whose first file holds data on kVictim: EC(4+2) over six
+/// nodes, two-way mirroring over two, or striping over four.  Fast-failure
+/// posture.
+core::ClusterConfig liveness_config(pvfs::DistKind kind, uint32_t clients) {
+  core::ClusterConfig cfg;
+  cfg.architecture = core::Architecture::kDirectPnfs;
+  cfg.clients = clients;
+  cfg.stripe_unit = 256_KiB;
+  cfg.distribution = kind;
+  switch (kind) {
+    case pvfs::DistKind::kErasure:
+      cfg.storage_nodes = 6;
+      cfg.ec_k = 4;
+      cfg.ec_m = 2;
+      break;
+    case pvfs::DistKind::kMirror:
+      cfg.storage_nodes = 2;
+      cfg.replicas = 2;
+      break;
+    case pvfs::DistKind::kStripe:
+      cfg.storage_nodes = 4;
+      break;
+  }
+  core::fail_fast_on_loss(cfg);
+  return cfg;
+}
+
+/// Client 0 writes and closes "/f", the victim dies at kLiveKillAt, then
+/// client 1's GETATTR makes the MDS's size gather wait out the dead daemon
+/// once.  Returns false if the setup outlasted the kill.
+Task<bool> write_then_mark_down(core::Deployment& d) {
+  auto& sim = d.simulation();
+  co_await d.mount_all();
+  auto f = co_await d.client(0).open("/f", true);
+  co_await f->write(0, chaos_pattern(0, kLiveBytes));
+  co_await f->close();
+  if (sim.now() >= kLiveKillAt) co_return false;
+  co_await sim.delay(kLiveKillAt + sim::ms(10) - sim.now());
+  co_await d.client(1).stat_size("/f");
+  co_return true;
+}
+
+struct ColdReadOutcome {
+  bool setup_ok = false;
+  bool data_ok = false;
+  uint64_t marked_down = 0;
+  uint64_t victim_rx = 0;  ///< bytes the dead node received meanwhile
+  uint64_t rpc_retries = 0;
+  nfs::ClientStats stats{};
+};
+
+ColdReadOutcome run_cold_read(pvfs::DistKind kind) {
+  core::ClusterConfig cfg = liveness_config(kind, 3);
+  cfg.faults.crash_service(kVictim, rpc::kNfsPort, kLiveKillAt);
+  cfg.faults.crash_service(kVictim, rpc::kPvfsIoPort, kLiveKillAt);
+  core::Deployment d(cfg);
+  ColdReadOutcome out;
+  d.simulation().spawn([](core::Deployment& d,
+                          ColdReadOutcome& out) -> Task<void> {
+    out.setup_ok = co_await write_then_mark_down(d);
+    out.marked_down =
+        counter_value(d, "storage0", "mds.liveness", "daemons_marked_down");
+    const uint64_t rx0 = victim_rx_bytes(d);
+    auto g = co_await d.client(2).open_read("/f");
+    const Payload back = co_await g->read(0, kLiveBytes);
+    co_await g->close();
+    out.victim_rx = victim_rx_bytes(d) - rx0;
+    out.data_ok = back == chaos_pattern(0, kLiveBytes);
+  }(d, out));
+  d.simulation().run();
+  out.stats = native(d, 2).stats();
+  out.rpc_retries =
+      counter_value(d, "client2", "client.recovery", "rpc_retries");
+  return out;
+}
+
+void expect_cold_read_skips_victim(const ColdReadOutcome& out) {
+  EXPECT_TRUE(out.setup_ok);
+  EXPECT_TRUE(out.data_ok);  // byte-identical through the redundancy
+  EXPECT_EQ(out.marked_down, 1u);
+  EXPECT_GE(out.stats.devices_flagged, 1u);
+  EXPECT_EQ(out.victim_rx, 0u);  // no RPC to the dead node, from anyone
+  EXPECT_EQ(out.rpc_retries, 0u);
+  EXPECT_EQ(out.stats.recovery_retries, 0u);
+  EXPECT_EQ(out.stats.breaker_trips, 0u);
+  EXPECT_EQ(out.stats.mds_fallbacks, 0u);
+}
+
+TEST(PermanentKill, ColdClientReadsErasureAroundFlaggedDevice) {
+  const ColdReadOutcome out = run_cold_read(pvfs::DistKind::kErasure);
+  expect_cold_read_skips_victim(out);
+  EXPECT_GE(out.stats.ec_reconstructions, 1u);
+}
+
+TEST(PermanentKill, ColdClientReadsMirrorAroundFlaggedDevice) {
+  const ColdReadOutcome out = run_cold_read(pvfs::DistKind::kMirror);
+  expect_cold_read_skips_victim(out);
+  EXPECT_GE(out.stats.replica_reroutes, 1u);
+}
+
+TEST(PermanentKill, StripedLayoutNeverCarriesTheFlag) {
+  core::ClusterConfig cfg = liveness_config(pvfs::DistKind::kStripe, 2);
+  cfg.faults.crash_service(kVictim, rpc::kPvfsIoPort, kLiveKillAt);
+  core::Deployment d(cfg);
+  bool setup_ok = false;
+  nfs::Status st = nfs::Status::kIo;
+  nfs::FileLayout layout;
+  d.simulation().spawn([](core::Deployment& d, bool& setup_ok,
+                          nfs::Status& st,
+                          nfs::FileLayout& layout) -> Task<void> {
+    auto& sim = d.simulation();
+    co_await d.mount_all();
+    nfs::NfsClient& c = native(d, 0);
+    auto f = co_await c.open("/f", true);
+    co_await c.write(f, 0, chaos_pattern(0, kLiveBytes));
+    co_await c.close(f);
+    setup_ok = sim.now() < kLiveKillAt;
+    co_await sim.delay(kLiveKillAt + sim::ms(10) - sim.now());
+    try {
+      co_await d.client(1).stat_size("/f");
+    } catch (const std::exception&) {
+      // A striped gather cannot do without the daemon; the mark stands.
+    }
+    // The daemon is marked down, yet the striped layout names no device.
+    st = co_await d.translator()->layout_get(f->fh, nfs::LayoutIoMode::kRead,
+                                             &layout);
+  }(d, setup_ok, st, layout));
+  d.simulation().run();
+  EXPECT_TRUE(setup_ok);
+  EXPECT_EQ(counter_value(d, "storage0", "mds.liveness", "daemons_marked_down"),
+            1u);
+  EXPECT_EQ(st, nfs::Status::kOk);
+  EXPECT_EQ(layout.aggregation, nfs::AggregationType::kRoundRobin);
+  EXPECT_TRUE(layout.unavailable.empty());
+}
+
+TEST(PermanentKill, WriteToFlaggedDeviceStillReachesIt) {
+  // Only the victim's storage daemon dies: the MDS flags the device, but
+  // its data server is alive.  A flagged device is skipped for reads only,
+  // so a false mark costs wire bytes and never redundancy.
+  core::ClusterConfig cfg = liveness_config(pvfs::DistKind::kMirror, 4);
+  cfg.faults.crash_service(kVictim, rpc::kPvfsIoPort, kLiveKillAt);
+  core::Deployment d(cfg);
+  struct Outcome {
+    bool setup_ok = false;
+    bool data_ok = false;
+    uint64_t write_rx = 0;
+  } out;
+  d.simulation().spawn([](core::Deployment& d, Outcome& out) -> Task<void> {
+    out.setup_ok = co_await write_then_mark_down(d);
+    const uint64_t rx0 = victim_rx_bytes(d);
+    auto g = co_await d.client(2).open("/f", false);
+    co_await g->write(0, chaos_pattern(7, kLiveBytes));
+    co_await g->close();
+    out.write_rx = victim_rx_bytes(d) - rx0;
+    auto h = co_await d.client(3).open_read("/f");
+    const Payload back = co_await h->read(0, kLiveBytes);
+    out.data_ok = back == chaos_pattern(7, kLiveBytes);
+    co_await h->close();
+  }(d, out));
+  d.simulation().run();
+  EXPECT_TRUE(out.setup_ok);
+  EXPECT_TRUE(out.data_ok);
+  const nfs::ClientStats& w = native(d, 2).stats();
+  EXPECT_GE(w.devices_flagged, 1u);
+  EXPECT_GE(out.write_rx, kLiveBytes);  // every byte also went to the replica
+  EXPECT_EQ(w.degraded_writes, 0u);
+  EXPECT_EQ(w.mds_fallbacks, 0u);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include "nfs/ops.hpp"
 #include "rpc/message.hpp"
+#include "util/rng.hpp"
 
 namespace dpnfs {
 namespace {
@@ -269,6 +270,132 @@ TEST(WireGolden, ErasureCodedFileLayout) {
   EXPECT_TRUE(dec.done());
   EXPECT_EQ(back.aggregation, nfs::AggregationType::kErasureCoded);
   EXPECT_EQ(back.params, (std::vector<uint64_t>{2, 1}));
+}
+
+// EC(2+1) with device 1 down: the aggregation word carries
+// kLayoutFlagUnavailable and the unavailable list trails the params.
+nfs::FileLayout flagged_ec_layout() {
+  nfs::FileLayout l;
+  l.aggregation = nfs::AggregationType::kErasureCoded;
+  l.stripe_unit = 0x10000;
+  l.devices = {nfs::DeviceId{0}, nfs::DeviceId{1}, nfs::DeviceId{2}};
+  l.fhs = {nfs::FileHandle{7}, nfs::FileHandle{8}, nfs::FileHandle{9}};
+  l.params = {2, 1};
+  l.unavailable = {nfs::DeviceId{1}};
+  return l;
+}
+
+std::vector<std::byte> encode_reply(const nfs::FileLayout& l) {
+  rpc::XdrEncoder enc;
+  nfs::LayoutGetRes{l}.encode(enc);
+  return std::move(enc).take();
+}
+
+TEST(WireGolden, FlaggedLayoutGetReply) {
+  // The two pins above are the unflagged encoding, unchanged: the flag and
+  // the trailing list appear only when a device is down.
+  const std::vector<std::byte> wire = encode_reply(flagged_ec_layout());
+  EXPECT_EQ(hex(wire),
+            "80000006"          // erasure-coded | kLayoutFlagUnavailable
+            "0000000000010000"  // 64 KiB stripe unit
+            "00000003"          // 3 devices (k + m)
+            "00000000"          // device 0 (data)
+            "00000001"          // device 1 (data)
+            "00000002"          // device 2 (parity)
+            "00000003"          // 3 filehandles
+            "0000000000000007"  // fh 7
+            "0000000000000008"  // fh 8
+            "0000000000000009"  // fh 9
+            "00000002"          // 2 params
+            "0000000000000002"  // k = 2
+            "0000000000000001"  // m = 1
+            "00000001"          // 1 unavailable device
+            "00000001");        // device 1
+  rpc::XdrDecoder dec(wire);
+  const nfs::FileLayout back = nfs::LayoutGetRes::decode(dec).layout;
+  EXPECT_TRUE(dec.done());
+  EXPECT_EQ(back.aggregation, nfs::AggregationType::kErasureCoded);
+  EXPECT_EQ(back.unavailable, (std::vector<nfs::DeviceId>{nfs::DeviceId{1}}));
+  EXPECT_EQ(encode_reply(back), wire);
+}
+
+TEST(WireGolden, FlaggedLayoutRejectsBadUnavailableList) {
+  const auto rejects = [](const nfs::FileLayout& l) {
+    const std::vector<std::byte> wire = encode_reply(l);
+    rpc::XdrDecoder dec(wire);
+    EXPECT_THROW(nfs::LayoutGetRes::decode(dec), rpc::XdrError);
+  };
+  nfs::FileLayout longer = flagged_ec_layout();
+  longer.unavailable = {nfs::DeviceId{0}, nfs::DeviceId{1}, nfs::DeviceId{2},
+                        nfs::DeviceId{0}};
+  rejects(longer);  // more entries than the device list
+  nfs::FileLayout stranger = flagged_ec_layout();
+  stranger.unavailable = {nfs::DeviceId{9}};
+  rejects(stranger);  // names a device the layout does not use
+  nfs::FileLayout twice = flagged_ec_layout();
+  twice.unavailable = {nfs::DeviceId{1}, nfs::DeviceId{1}};
+  rejects(twice);
+  nfs::FileLayout striped = flagged_ec_layout();
+  striped.aggregation = nfs::AggregationType::kRoundRobin;
+  striped.params.clear();
+  rejects(striped);  // only redundant layouts may carry the flag
+
+  // The flag with an empty list cannot come from the encoder.
+  std::vector<std::byte> wire = encode_reply(flagged_ec_layout());
+  wire.resize(wire.size() - 8);
+  wire.resize(wire.size() + 4, std::byte{0});  // count 0, no entries
+  rpc::XdrDecoder dec(wire);
+  EXPECT_THROW(nfs::LayoutGetRes::decode(dec), rpc::XdrError);
+}
+
+TEST(WireGolden, FlaggedLayoutMutationsDecodeOrReject) {
+  // Seeded mutation loop over the flagged encoding.  Two outcomes only:
+  // the decoder rejects with XdrError, or it accepts a prefix whose
+  // re-encoding is byte-identical to that prefix.  Anything else — another
+  // exception type, a crash, an accepted message that re-encodes
+  // differently — fails.
+  const std::vector<std::byte> golden = encode_reply(flagged_ec_layout());
+  util::Rng rng(0x1A7E);
+  uint64_t accepted = 0;
+  uint64_t rejected = 0;
+  for (int iter = 0; iter < 20000; ++iter) {
+    std::vector<std::byte> wire = golden;
+    const uint64_t edits = rng.range(1, 3);
+    for (uint64_t e = 0; e < edits; ++e) {
+      switch (rng.below(4)) {
+        case 0:  // flip one bit
+          wire[rng.below(wire.size())] ^=
+              static_cast<std::byte>(1u << rng.below(8));
+          break;
+        case 1:  // overwrite one byte
+          wire[rng.below(wire.size())] = static_cast<std::byte>(rng.below(256));
+          break;
+        case 2:  // truncate
+          wire.resize(rng.below(wire.size()));
+          break;
+        default:  // append a word
+          for (int b = 0; b < 4; ++b) {
+            wire.push_back(static_cast<std::byte>(rng.below(256)));
+          }
+          break;
+      }
+      if (wire.empty()) wire.push_back(std::byte{0});
+    }
+    rpc::XdrDecoder dec(wire);
+    try {
+      const nfs::FileLayout back = nfs::LayoutGetRes::decode(dec).layout;
+      const size_t consumed = wire.size() - dec.remaining();
+      const std::vector<std::byte> prefix(wire.begin(),
+                                          wire.begin() + consumed);
+      ASSERT_EQ(hex(encode_reply(back)), hex(prefix)) << "iteration " << iter;
+      ++accepted;
+    } catch (const rpc::XdrError&) {
+      ++rejected;
+    }
+  }
+  // Both outcomes occur, so the loop exercises the accept path too.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(WireGolden, WriteResAndCommitResCarryBootVerifier) {

@@ -15,23 +15,28 @@ Recipes:
             and sshbuild
   scale     `bench_scale --smoke` event counts and counter lines
             (client-s/s and wall seconds masked)
-  flight/*  stdout, --flight-out and --metrics-out files of the three
+  flight/*  stdout, --flight-out and --metrics-out files of the four
             `simulate` fault recipes that tools/check_flight_schema.py runs
 
 Usage:
   check_equivalence.py OLD_BUILD NEW_BUILD [--only SUBSTR]... [--jobs N]
-                       [--keep DIR] [--list]
+                       [--keep DIR] [--list] [--allow-new-zeros]
 
 OLD_BUILD and NEW_BUILD are CMake build trees (each holding bench/ and
 examples/).  --only keeps the recipes whose name contains SUBSTR; --jobs
 runs that many recipe executions at once (default 2); --keep leaves the
-run directories under DIR instead of a temporary directory.  Exit status:
+run directories under DIR instead of a temporary directory.
+--allow-new-zeros is for a change that adds metrics: in JSON outputs, a
+key present only in the new output whose value is all zeros (a new
+counter, or a new component of zero counters) is dropped before the
+comparison; every other byte must still match.  Exit status:
 0 when every recipe matches, 1 on any difference or failed run, 2 on a
 usage error.
 """
 
 import argparse
 import concurrent.futures
+import json
 import os
 import re
 import shutil
@@ -43,7 +48,7 @@ import tempfile
 def mask_rate_ratio(text):
     # bench_obs_overhead's wall-clock throughput ratio, one record per line.
     return re.sub(r'("figure":"rate-ratio".*?"value":)[^,]*',
-                  r"\1<host>", text)
+                  r'\1"<host>"', text)
 
 
 def scale_counters(text):
@@ -106,6 +111,10 @@ RECIPES = [
     flight("crash", ["--arch=direct", "--workload=ior-write", "--clients=4",
                      "--fault-ds-crash=1", "--fault-at-ms=500",
                      "--bytes=32000000"]),
+    flight("flagged", ["--arch=direct", "--workload=ior-read", "--clients=4",
+                       "--storage-nodes=6", "--redundancy=ec", "--ec-k=4",
+                       "--ec-m=2", "--fault-ds-kill=1", "--fault-at-ms=600",
+                       "--bytes=8000000"]),
 ]
 
 
@@ -137,6 +146,40 @@ def artifacts(outputs, out, stdout):
     return texts
 
 
+def all_zero(value):
+    if isinstance(value, bool):
+        return False
+    if isinstance(value, (int, float)):
+        return value == 0
+    if isinstance(value, dict):
+        return all(all_zero(v) for v in value.values())
+    if isinstance(value, list):
+        return all(all_zero(v) for v in value)
+    return False
+
+
+def drop_new_zeros(old, new):
+    """`new` without the all-zero keys that `old` does not have."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        return {k: drop_new_zeros(old[k], v) if k in old else v
+                for k, v in new.items() if k in old or not all_zero(v)}
+    if isinstance(old, list) and isinstance(new, list) and \
+            len(old) == len(new):
+        return [drop_new_zeros(o, n) for o, n in zip(old, new)]
+    return new
+
+
+def without_new_zeros(old_text, new_text):
+    """The JSON texts re-serialized, new-only all-zero keys dropped from the
+    new one; the inputs unchanged when either is not JSON."""
+    try:
+        old, new = json.loads(old_text), json.loads(new_text)
+    except ValueError:
+        return old_text, new_text
+    return (json.dumps(old, indent=0),
+            json.dumps(drop_new_zeros(old, new), indent=0))
+
+
 def first_difference(a, b):
     for i, (la, lb) in enumerate(zip(a.splitlines(), b.splitlines()), 1):
         if la != lb:
@@ -153,6 +196,7 @@ def main():
     parser.add_argument("--jobs", type=int, default=2)
     parser.add_argument("--keep")
     parser.add_argument("--list", action="store_true")
+    parser.add_argument("--allow-new-zeros", action="store_true")
     args = parser.parse_args()
 
     recipes = [r for r in RECIPES
@@ -193,11 +237,15 @@ def main():
             elif old_status != 0:
                 problems.append(f"both runs exited {old_status}")
             for source, _ in outputs:
-                if old[source] is None or new[source] is None:
+                a, b = old[source], new[source]
+                if a is None or b is None:
                     problems.append(f"{source}: missing")
-                elif old[source] != new[source]:
+                    continue
+                if args.allow_new_zeros and a != b and source.endswith(".json"):
+                    a, b = without_new_zeros(a, b)
+                if a != b:
                     problems.append(f"{source} differs at "
-                                    f"{first_difference(old[source], new[source])}")
+                                    f"{first_difference(a, b)}")
             if problems:
                 failed += 1
                 print(f"DIFF  {name}")
@@ -211,8 +259,10 @@ def main():
 
     if not args.keep:
         shutil.rmtree(root, ignore_errors=True)
+    masked = "host-time fields" + (" and new all-zero keys"
+                                   if args.allow_new_zeros else "")
     print(f"{len(recipes) - failed}/{len(recipes)} recipes byte-equal"
-          + (" (host-time fields masked)" if failed == 0 else ""))
+          + (f" ({masked} masked)" if failed == 0 else ""))
     return 1 if failed else 0
 
 

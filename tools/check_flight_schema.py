@@ -23,9 +23,13 @@ Usage:
        data-server kill under 2-way replication with a spare and requires
        the full loss ladder on record: ds.declared_dead, rebuild.start,
        rebuild.complete, plus a degraded.read/write/commit client event.
-       Last, crashes one non-redundant data server mid-write, twice, and
+       Then crashes one non-redundant data server mid-write, twice, and
        requires the ladder's MDS rung on record: breaker.trip, mds.fallback
-       and layout.refetch)
+       and layout.refetch.  Last, kills one node of an EC(4+2) deployment
+       before cold readers open, twice, and requires shared device liveness
+       on record: the MDS's daemon.down, then layout.flagged and a
+       degraded.read on the clients.  The daemon.up that clears the mark
+       is pinned by FaultRecovery.RestartedDaemonIsClearedAndUnflagged)
 """
 
 import json
@@ -155,6 +159,19 @@ def run_crash(simulate, out):
         check=True, stdout=subprocess.DEVNULL)
 
 
+def run_flagged(simulate, out):
+    # EC(4+2) Direct-pNFS loses node 1 for good between population and the
+    # cold read-back: the MDS's first size gather marks its daemon down and
+    # every later layout names the device unavailable (docs/failures.md
+    # "Shared device liveness").
+    subprocess.run(
+        [simulate, "--arch=direct", "--workload=ior-read", "--clients=4",
+         "--storage-nodes=6", "--redundancy=ec", "--ec-k=4", "--ec-m=2",
+         "--fault-ds-kill=1", "--fault-at-ms=600", "--bytes=8000000",
+         f"--flight-out={out}"],
+        check=True, stdout=subprocess.DEVNULL)
+
+
 def main(argv):
     files = []
     i = 1
@@ -232,6 +249,32 @@ def main(argv):
                         f"(kinds seen: "
                         f"{sorted(k for k in crash_kinds if k)})")
             files.append(crash_a)
+
+            # Shared device liveness: the MDS marks the dead daemon down
+            # and cold clients get layouts flagging its device.
+            flag_a = os.path.join(tmp, "flag_a.json")
+            flag_b = os.path.join(tmp, "flag_b.json")
+            run_flagged(simulate, flag_a)
+            run_flagged(simulate, flag_b)
+            with open(flag_a, "rb") as fa, open(flag_b, "rb") as fb:
+                if fa.read() != fb.read():
+                    err(flag_a, "two device-liveness runs produced different "
+                                "dumps: determinism contract broken")
+            flag_events = [ev for ev in check_file(flag_a)
+                           if isinstance(ev, dict)]
+            flag_kinds = {ev.get("kind") for ev in flag_events}
+            mds_down = [ev for ev in flag_events
+                        if ev.get("kind") == "daemon.down"
+                        and ev.get("node") == "storage0"]
+            if not mds_down:
+                err(flag_a, "device-liveness run recorded no 'daemon.down' "
+                            "on the MDS node storage0")
+            for kind in ("layout.flagged", "degraded.read"):
+                if kind not in flag_kinds:
+                    err(flag_a, f"device-liveness run recorded no '{kind}' "
+                        f"event (kinds seen: "
+                        f"{sorted(k for k in flag_kinds if k)})")
+            files.append(flag_a)
         else:
             check_file(argv[i])
             files.append(argv[i])

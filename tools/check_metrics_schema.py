@@ -26,8 +26,10 @@ import subprocess
 import sys
 import tempfile
 
-# Counters every client.recovery component must export (docs/failures.md).
-RECOVERY_COUNTERS = ("retries", "fallbacks", "breaker_trips")
+# Counters every client.recovery component must export (docs/failures.md);
+# devices_flagged counts the unavailable devices granted layouts named.
+RECOVERY_COUNTERS = ("retries", "fallbacks", "breaker_trips",
+                     "devices_flagged")
 
 # Counters every client.replay component (unstable-write replay after a
 # server restart) must export (docs/failures.md "Restart semantics").  NFS
@@ -49,6 +51,13 @@ REDUNDANCY_COUNTERS = ("replica_reroutes", "degraded_reads",
 REBUILD_COUNTERS = ("dses_declared_dead", "rebuilds_started",
                     "rebuilds_completed", "objects_rebuilt",
                     "bytes_rebuilt", "objects_failed")
+
+# Counters the MDS's storage-daemon liveness exports (docs/failures.md
+# "Degraded mode"): every pNFS export carries the component on exactly one
+# node, the MDS.
+LIVENESS_COUNTERS = ("daemons_marked_down", "daemons_marked_up",
+                     "gathers_skipped")
+PNFS_ARCHITECTURES = ("Direct-pNFS", "pNFS-2tier", "pNFS-3tier")
 
 # Counters every client.sched component (per-DS write-back scheduler) must
 # export (docs/observability.md).  Its gauges are dynamic — one
@@ -290,6 +299,16 @@ def check_metrics_doc(path, doc):
             if comp == "mds.rebuild" and isinstance(body, dict):
                 check_counter_set(f"{path}.nodes.{node}.{comp}", body,
                                   "mds.rebuild", REBUILD_COUNTERS)
+            if comp == "mds.liveness" and isinstance(body, dict):
+                check_counter_set(f"{path}.nodes.{node}.{comp}", body,
+                                  "mds.liveness", LIVENESS_COUNTERS)
+    if doc.get("architecture") in PNFS_ARCHITECTURES:
+        mds = [n for n, comps in nodes.items()
+               if isinstance(comps, dict) and "mds.liveness" in comps]
+        if len(mds) != 1:
+            err(f"{path}.nodes", f"{doc['architecture']} export should carry "
+                                 f"mds.liveness on exactly one node, found "
+                                 f"{len(mds)}")
 
     # Every export must carry per-node resource gauges for at least one
     # storage node — this is what decomposes "where the bytes went".
