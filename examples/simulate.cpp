@@ -255,7 +255,7 @@ int main(int argc, char** argv) {
       case core::Architecture::kNativePvfs:
         return {i % cfg.storage_nodes, rpc::kPvfsIoPort};
       case core::Architecture::kPnfs3Tier:
-        return {cfg.storage_nodes / 2 + (i % cfg.three_tier_data_servers),
+        return {cfg.storage_nodes / 2 + (i % cfg.three_tier_data_servers()),
                 rpc::kNfsPort};
       case core::Architecture::kPlainNfs:
         return {cfg.storage_nodes, rpc::kNfsPort};

@@ -49,6 +49,10 @@ constexpr uint32_t kVfsConduitBuffers = 1;
 /// above which the health evaluator reports the node "degraded".
 constexpr double kHealthQueueThreshold = 64;
 
+/// Seed of the tracer's per-trace head-sampling verdict: the same seed and
+/// schedule sample the same trace ids (tests reseed via Tracer).
+constexpr uint64_t kTraceSampleSeed = 0x9e1ddca7;
+
 }  // namespace
 
 void ride_out_restarts(ClusterConfig& cfg) {
@@ -96,7 +100,7 @@ Deployment::Deployment(ClusterConfig config)
   tracer_.set_span_capacity(config_.trace_span_capacity);
   tracer_.set_sample_rate(config_.trace_sample_rate);
   tracer_.set_sample_seed(
-      util::Rng(config_.trace_sample_seed).next());  // decorrelate from ids
+      util::Rng(kTraceSampleSeed).next());  // decorrelate from ids
   tracer_.set_slo_threshold(config_.trace_slo_threshold);
   tracer_.set_staging_capacity(config_.trace_span_capacity);
   fabric_.set_observability(&metrics_, &tracer_);
@@ -339,10 +343,10 @@ void Deployment::build_pnfs_2tier() {
 }
 
 void Deployment::build_pnfs_3tier() {
-  // The six machines split: 3 storage nodes (holding all the disks) and 3
-  // dedicated NFS data servers in front of them.
+  // The machines split (3/3 at the default six): storage nodes holding all
+  // the disks, and dedicated NFS data servers in front of them.
   const uint32_t storage_count = config_.storage_nodes / 2;
-  const uint32_t ds_count = config_.three_tier_data_servers;
+  const uint32_t ds_count = config_.three_tier_data_servers();
   build_backend_cluster(storage_count, kThreeTierDiskScale);
 
   std::vector<nfs::DeviceEntry> devices;

@@ -66,7 +66,11 @@ struct ClusterConfig {
   Architecture architecture = Architecture::kDirectPnfs;
   uint32_t storage_nodes = 6;
   uint32_t clients = 8;
-  uint32_t three_tier_data_servers = 3;
+  /// pNFS-3tier splits the storage nodes: `storage_nodes / 2` hold the
+  /// disks and the rest serve NFS in front of them (3/3 at the default 6).
+  uint32_t three_tier_data_servers() const {
+    return storage_nodes - storage_nodes / 2;
+  }
 
   sim::NicParams nic{.bytes_per_sec = 117e6, .latency = sim::us(60)};
   sim::DiskParams disk{.bytes_per_sec = 23e6,
@@ -96,9 +100,6 @@ struct ClusterConfig {
   /// exact for all traffic at any rate.  1.0 keeps today's always-on
   /// behavior.
   double trace_sample_rate = 1.0;
-  /// Seed for the deterministic per-trace sampling verdict; the same seed
-  /// and schedule sample the same trace ids (chaos runs stay reproducible).
-  uint64_t trace_sample_seed = 0x9e1ddca7;
   /// Root-span latency SLO: unsampled traces ending slower than this (or
   /// with an error) are tail-promoted with full span detail.  0 disables
   /// the slow-trace trigger.

@@ -5,6 +5,7 @@
 #include <cstdarg>
 
 #include "nfs/compound_reply.hpp"
+#include "nfs/writeback.hpp"
 #include "util/format.hpp"
 #include "util/log.hpp"
 #include "util/reed_solomon.hpp"
@@ -23,16 +24,16 @@ constexpr uint16_t kBackchannelPortBase = 4044;
 constexpr uint32_t kSessionSlots = 64;
 /// Fixed client CPU per COMPOUND sent.
 constexpr sim::Duration kCpuPerRpc = sim::us(8);
+/// Client copy/checksum cost, charged once at the syscall boundary and once
+/// per RPC carrying data.  Calibrated so one client box sustains ~64 MB/s on
+/// the read path (the paper's P3 clients: 8 of them cap warm-cache reads at
+/// ~510-530 MB/s aggregate).
+constexpr double kCpuNsPerByte = 15.5;
+/// Sequential readahead depth, in rsize units.
+constexpr uint64_t kReadaheadWindow = 4;
 
 uint64_t round_down(uint64_t v, uint64_t m) { return v / m * m; }
 uint64_t round_up(uint64_t v, uint64_t m) { return (v + m - 1) / m * m; }
-
-/// Counts one event (or `n` units) in a ClientStats field and its exported
-/// counter alike.
-void tally(uint64_t& stat, obs::Counter* counter, uint64_t n = 1) {
-  stat += n;
-  counter->add(n);
-}
 
 /// Pads a short READ with `missing` zero bytes: a hole at end-of-file reads
 /// as zeros.  Virtual content stays virtual.
@@ -42,6 +43,16 @@ void zero_fill(Payload& p, uint64_t missing) {
   } else {
     p.append(Payload::virtual_bytes(missing));
   }
+}
+
+/// The target-space regions `slices` cover, in order.
+std::vector<IoRegion> regions_of(std::span<const IoSlice> slices) {
+  std::vector<IoRegion> out;
+  out.reserve(slices.size());
+  for (const IoSlice& s : slices) {
+    out.push_back({s.target_offset, static_cast<uint32_t>(s.length)});
+  }
+  return out;
 }
 
 /// Splits "/a/b/c" into ("/a/b", "c").  The parent of "/x" is "/".
@@ -77,54 +88,43 @@ NfsClient::NfsClient(rpc::RpcFabric& fabric, sim::Node& node,
       mds_(mds),
       rpc_(fabric, node, std::move(principal)),
       config_(config),
-      aggregations_(std::move(aggregations)) {
+      aggregations_(std::move(aggregations)),
+      health_(fabric, node.name(), config_.breaker_threshold,
+              config_.breaker_reset, stats_.breaker_trips),
+      wb_(std::make_unique<WritebackScheduler>(
+          fabric, node, mds, config_, stats_,
+          [this](WbDispatch& d) { return write_back(d); })) {
   rpc_.set_tenant(config_.tenant_id);
   if (!aggregations_) {
     aggregations_ = std::make_shared<const AggregationRegistry>(
         AggregationRegistry::with_standard_drivers());
   }
-  obs::MetricsRegistry& reg = fabric.metrics();
-  const std::string& n = node.name();
-  m_hit_bytes_ = &reg.counter(n, "client.cache", "hit_bytes");
-  m_miss_bytes_ = &reg.counter(n, "client.cache", "miss_bytes");
-  m_read_bytes_ = &reg.counter(n, "client.cache", "read_bytes");
-  m_write_bytes_ = &reg.counter(n, "client.cache", "write_bytes");
-  m_readahead_fetches_ = &reg.counter(n, "client.cache", "readahead_fetches");
-  m_rpcs_ = &reg.counter(n, "client.cache", "rpcs");
-  m_sched_writes_ = &reg.counter(n, "client.sched", "dispatched_writes");
-  m_sched_bytes_ = &reg.counter(n, "client.sched", "dispatched_bytes");
-  m_sched_coalesced_extents_ =
-      &reg.counter(n, "client.sched", "coalesced_extents");
-  m_sched_coalesced_bytes_ = &reg.counter(n, "client.sched", "coalesced_bytes");
-  m_vectored_writes_ = &reg.counter(n, "client.sched", "vectored_writes");
-  m_vectored_regions_ = &reg.counter(n, "client.sched", "vectored_regions");
-  m_vectored_bytes_ = &reg.counter(n, "client.sched", "vectored_bytes");
-  m_retries_ = &reg.counter(n, "client.recovery", "retries");
-  m_fallbacks_ = &reg.counter(n, "client.recovery", "fallbacks");
-  m_breaker_trips_ = &reg.counter(n, "client.recovery", "breaker_trips");
-  m_layout_refetches_ = &reg.counter(n, "client.recovery", "layout_refetches");
-  m_rpc_retries_ = &reg.counter(n, "client.recovery", "rpc_retries");
-  m_devices_flagged_ = &reg.counter(n, "client.recovery", "devices_flagged");
-  m_verifier_mismatches_ =
-      &reg.counter(n, "client.replay", "verifier_mismatches");
-  m_replayed_extents_ = &reg.counter(n, "client.replay", "replayed_extents");
-  m_replayed_bytes_ = &reg.counter(n, "client.replay", "replayed_bytes");
-  m_session_recoveries_ =
-      &reg.counter(n, "client.replay", "session_recoveries");
-  m_replica_reroutes_ =
-      &reg.counter(n, "client.redundancy", "replica_reroutes");
-  m_degraded_reads_ = &reg.counter(n, "client.redundancy", "degraded_reads");
-  m_degraded_read_bytes_ =
-      &reg.counter(n, "client.redundancy", "degraded_read_bytes");
-  m_ec_reconstructions_ =
-      &reg.counter(n, "client.redundancy", "ec_reconstructions");
-  m_degraded_writes_ = &reg.counter(n, "client.redundancy", "degraded_writes");
-  m_degraded_commits_ =
-      &reg.counter(n, "client.redundancy", "degraded_commits");
+  const auto counter = [&](const char* component, const char* name) {
+    return &fabric.metrics().counter(node.name(), component, name);
+  };
+  m_hit_bytes_ = counter("client.cache", "hit_bytes");
+  m_miss_bytes_ = counter("client.cache", "miss_bytes");
+  m_read_bytes_ = counter("client.cache", "read_bytes");
+  m_write_bytes_ = counter("client.cache", "write_bytes");
+  m_readahead_fetches_ = counter("client.cache", "readahead_fetches");
+  m_rpcs_ = counter("client.cache", "rpcs");
+  m_retries_ = counter("client.recovery", "retries");
+  m_fallbacks_ = counter("client.recovery", "fallbacks");
+  m_layout_refetches_ = counter("client.recovery", "layout_refetches");
+  m_rpc_retries_ = counter("client.recovery", "rpc_retries");
+  m_devices_flagged_ = counter("client.recovery", "devices_flagged");
+  m_verifier_mismatches_ = counter("client.replay", "verifier_mismatches");
+  m_replayed_extents_ = counter("client.replay", "replayed_extents");
+  m_replayed_bytes_ = counter("client.replay", "replayed_bytes");
+  m_session_recoveries_ = counter("client.replay", "session_recoveries");
+  m_replica_reroutes_ = counter("client.redundancy", "replica_reroutes");
+  m_degraded_reads_ = counter("client.redundancy", "degraded_reads");
+  m_degraded_read_bytes_ = counter("client.redundancy", "degraded_read_bytes");
+  m_ec_reconstructions_ = counter("client.redundancy", "ec_reconstructions");
+  m_degraded_writes_ = counter("client.redundancy", "degraded_writes");
+  m_degraded_commits_ = counter("client.redundancy", "degraded_commits");
   // Transport-level retries surface under this client's recovery component.
   rpc_.set_retry_counter(m_rpc_retries_);
-  tracer_ = fabric.tracer();
-  tx_gate_ = std::make_unique<sim::Semaphore>(fabric.simulation(), 1);
 }
 
 NfsClient::~NfsClient() = default;
@@ -192,43 +192,20 @@ Task<std::shared_ptr<NfsClient::Session>> NfsClient::session_for(
   }
 }
 
-/// Call policy for `addr`: data-server calls carry the configured deadline
-/// and transport retry budget; MDS calls keep the unbounded legacy behavior
-/// (the MDS is the recovery path — timing it out has nowhere to go).
+/// Call policy for `addr`: its deadline (`mds_timeout` for the MDS,
+/// `ds_timeout` otherwise; 0 leaves calls unbounded), the transport retry
+/// budget, and a backoff of a quarter deadline.
 rpc::CallOptions NfsClient::call_options(const rpc::RpcAddress& addr) const {
   rpc::CallOptions opts;
-  if (addr == mds_) {
-    if (config_.mds_timeout > 0) {
-      opts.timeout = config_.mds_timeout;
-      opts.max_retries = config_.ds_rpc_retries;
-      opts.backoff = config_.mds_timeout / 4;
-    }
-  } else if (config_.ds_timeout > 0) {
-    opts.timeout = config_.ds_timeout;
+  const sim::Duration t =
+      addr == mds_ ? config_.mds_timeout : config_.ds_timeout;
+  if (t > 0) {
+    opts.timeout = t;
     opts.max_retries = config_.ds_rpc_retries;
-    opts.backoff = config_.ds_timeout / 4;
+    opts.backoff = t / 4;
   }
   return opts;
 }
-
-namespace {
-
-/// The SEQUENCE result is always the compound's first; its status tells us
-/// whether the server recognized our session.  Returns kOk for replies that
-/// cannot be peeked (transport failures surface via CompoundReply instead).
-Status peek_sequence_status(const rpc::RpcClient::Reply& reply) {
-  if (!reply.ok()) return Status::kOk;
-  try {
-    rpc::XdrDecoder dec = reply.body();
-    if (dec.get_u32() == 0) return Status::kOk;
-    const OpResultHeader h = OpResultHeader::decode(dec);
-    return h.op == OpCode::kSequence ? h.status : Status::kOk;
-  } catch (const rpc::XdrError&) {
-    return Status::kOk;
-  }
-}
-
-}  // namespace
 
 void NfsClient::session_lost(const rpc::RpcAddress& addr,
                              const SessionId& sid) {
@@ -269,26 +246,25 @@ void NfsClient::note_flight(const char* kind, const char* fmt, ...) {
                  detail);
 }
 
-Task<rpc::RpcClient::Reply> NfsClient::call(rpc::RpcAddress addr,
-                                            CompoundBuilder builder,
-                                            uint64_t data_bytes,
-                                            obs::TraceContext trace_parent) {
+Task<CompoundReply> NfsClient::call(rpc::RpcAddress addr, Compound compound,
+                                    uint64_t data_bytes,
+                                    obs::TraceContext trace_parent) {
   // Attempts to revive a session against a restarted server before the
   // BADSESSION/GRACE answer surfaces to the caller as an error.
   constexpr uint32_t kSessionRetries = 3;
-  rpc::XdrEncoder encoded = std::move(builder).finish();
+  const bool putfh = compound.putfh;
+  rpc::XdrEncoder encoded = std::move(compound).finish();
   for (uint32_t attempt = 0;; ++attempt) {
     std::shared_ptr<Session> s = co_await session_for(addr);
     // Every compound starts with SEQUENCE, so the session id sits at a fixed
     // offset: [0,4) op count, [4,8) opcode, [8,16) session id.  Patching it
-    // here (instead of trusting the id baked in at build time) lets a
-    // re-established session re-send the identical compound.
+    // here lets a re-established session re-send the identical compound.
     rpc::XdrEncoder msg = encoded;
     msg.patch_u32(8, static_cast<uint32_t>(s->id.id >> 32));
     msg.patch_u32(12, static_cast<uint32_t>(s->id.id & 0xFFFFFFFFu));
     co_await s->slots->acquire();
     const auto cpu = kCpuPerRpc +
-                     static_cast<sim::Duration>(config_.cpu_ns_per_byte *
+                     static_cast<sim::Duration>(kCpuNsPerByte *
                                                 static_cast<double>(data_bytes));
     co_await node_.cpu().execute(cpu);
     tally(stats_.rpcs, m_rpcs_);
@@ -297,23 +273,24 @@ Task<rpc::RpcClient::Reply> NfsClient::call(rpc::RpcAddress addr,
     auto reply = co_await rpc_.call(addr, rpc::Program::kNfs, kNfsVersion,
                                     kProcCompound, std::move(msg), opts);
     s->slots->release();
-    if (attempt < kSessionRetries) {
-      const Status seq = peek_sequence_status(reply);
-      if (seq == Status::kBadSession || seq == Status::kGrace) {
-        session_lost(addr, s->id);
-        continue;
-      }
+    CompoundReply r(std::move(reply));
+    const Status seq = r.try_next(OpCode::kSequence);
+    if (attempt < kSessionRetries &&
+        (seq == Status::kBadSession || seq == Status::kGrace)) {
+      session_lost(addr, s->id);
+      continue;
     }
-    co_return reply;
+    if (seq != Status::kOk) throw NfsError(seq, opcode_name(OpCode::kSequence));
+    if (putfh) r.expect(OpCode::kPutFh);
+    co_return std::move(r);
   }
 }
 
-/// Starts a compound with a SEQUENCE op for `addr`'s session.  The session
-/// must already exist (call() creates it on demand, but the SEQUENCE carries
-/// the id, so callers go through session_for first).
-static CompoundBuilder with_sequence(const SessionId& sid) {
-  CompoundBuilder b;
-  b.add(OpCode::kSequence, SequenceArgs{sid, 0});
+NfsClient::Compound NfsClient::sequenced(std::optional<FileHandle> fh) {
+  Compound b;
+  b.add(OpCode::kSequence, SequenceArgs{});  // call() patches in the session
+  if (fh) b.add(OpCode::kPutFh, PutFhArgs{*fh});
+  b.putfh = fh.has_value();
   return b;
 }
 
@@ -323,23 +300,20 @@ static CompoundBuilder with_sequence(const SessionId& sid) {
 
 Task<void> NfsClient::mount() {
   if (mounted_) co_return;
-  auto s = co_await session_for(mds_);
 
-  CompoundBuilder b = with_sequence(s->id);
+  Compound b = sequenced();
   b.add(OpCode::kPutRootFh);
   b.add(OpCode::kGetFh);
   CompoundReply r(co_await call(mds_, std::move(b), 0));
-  r.expect(OpCode::kSequence);
   r.expect(OpCode::kPutRootFh);
   root_fh_ = r.expect<GetFhRes>(OpCode::kGetFh).fh;
   dentry_cache_["/"] = root_fh_;
 
   if (config_.pnfs_enabled) {
-    CompoundBuilder b2 = with_sequence(s->id);
+    Compound b2 = sequenced();
     b2.add(OpCode::kPutRootFh);
     b2.add(OpCode::kGetDeviceList);
     CompoundReply r2(co_await call(mds_, std::move(b2), 0));
-    r2.expect(OpCode::kSequence);
     r2.expect(OpCode::kPutRootFh);
     if (r2.try_next(OpCode::kGetDeviceList) == Status::kOk) {
       const auto res = GetDeviceListRes::decode(r2.dec());
@@ -373,16 +347,12 @@ Task<FileHandle> NfsClient::resolve(const std::string& path) {
   }
   if (start == comps.size()) co_return cur_fh;
 
-  auto s = co_await session_for(mds_);
-  CompoundBuilder b = with_sequence(s->id);
-  b.add(OpCode::kPutFh, PutFhArgs{cur_fh});
+  Compound b = sequenced(cur_fh);
   for (size_t i = start; i < comps.size(); ++i) {
     b.add(OpCode::kLookup, LookupArgs{comps[i]});
     b.add(OpCode::kGetFh);
   }
   CompoundReply r(co_await call(mds_, std::move(b), 0));
-  r.expect(OpCode::kSequence);
-  r.expect(OpCode::kPutFh);
   std::string walked = (cur == "/") ? "" : cur;
   FileHandle fh = cur_fh;
   for (size_t i = start; i < comps.size(); ++i) {
@@ -441,15 +411,7 @@ Task<void> NfsClient::serve_callback(const rpc::CallContext& ctx,
       // next open).  Snapshot the FilePtr before suspending: the flush
       // co_awaits, and a concurrent close + drop_caches can erase map
       // entries out from under a live files_ iterator.
-      FilePtr file;
-      uint64_t ino = 0;
-      for (auto& [id, state] : files_) {
-        if (!(state->fh == a.fh) || !state->layout) continue;
-        file = state;
-        ino = id;
-        break;
-      }
-      if (file) {
+      if (FilePtr file = find_file(a.fh); file && file->layout) {
         for (int round = 0; round < 4; ++round) {
           co_await flush_dirty(file, /*only_full_chunks=*/false, /*wait=*/true);
           co_await commit_unstable(*file);
@@ -458,21 +420,19 @@ Task<void> NfsClient::serve_callback(const rpc::CallContext& ctx,
         file->layout.reset();
         util::logf(util::LogLevel::kInfo, "nfs.client",
                    fabric_.simulation().now(), "layout for fileid %llu recalled",
-                   static_cast<unsigned long long>(ino));
+                   static_cast<unsigned long long>(file->attr.fileid));
       }
       co_return;
     }
     case kProcCbRecallDelegation: {
       const auto a = CbRecallDelegationArgs::decode(args);
       ++delegation_recalls_served_;
-      for (auto& [ino, state] : files_) {
-        if (!(state->fh == a.fh) || !state->read_delegation) continue;
-        state->read_delegation = false;
+      if (FilePtr file = find_file(a.fh); file && file->read_delegation) {
+        file->read_delegation = false;
         util::logf(util::LogLevel::kInfo, "nfs.client",
                    fabric_.simulation().now(),
                    "read delegation for fileid %llu recalled",
-                   static_cast<unsigned long long>(ino));
-        break;
+                   static_cast<unsigned long long>(file->attr.fileid));
       }
       co_return;
     }
@@ -483,45 +443,48 @@ Task<void> NfsClient::serve_callback(const rpc::CallContext& ctx,
 
 Task<void> NfsClient::truncate(const std::string& path, uint64_t size) {
   const FileHandle fh = co_await resolve(path);
-  auto s = co_await session_for(mds_);
-  CompoundBuilder b = with_sequence(s->id);
-  b.add(OpCode::kPutFh, PutFhArgs{fh});
+  // Write-back still queued for the file would land after the SETATTR and
+  // regrow it: flush and wait first, as Linux nfs_setattr does for a size
+  // change.
+  if (FilePtr file = find_file(fh)) {
+    co_await flush_dirty(file, /*only_full_chunks=*/false, /*wait=*/true);
+  }
+  Compound b = sequenced(fh);
   b.add(OpCode::kSetattr, SetattrArgs{true, size});
   CompoundReply r(co_await call(mds_, std::move(b), 0));
-  r.expect(OpCode::kSequence);
-  r.expect(OpCode::kPutFh);
   r.expect(OpCode::kSetattr);
   // Our own cached view of the file, if any, must shrink too.
-  for (auto& [ino, state] : files_) {
-    if (!(state->fh == fh)) continue;
-    if (size < state->size) {
-      const uint64_t valid_before = state->valid.total_length();
-      state->valid.subtract(size, ~0ull);
-      claim_dirty(*state, size, ~0ull);
-      state->content.drop(size, ~0ull);
-      // Truncated bytes need no replay either.
-      for (auto& [idx, t] : state->commit_targets) {
-        t.uncommitted.subtract(size, ~0ull);
-      }
-      account_valid_delta(
-          -static_cast<int64_t>(valid_before - state->valid.total_length()));
+  FilePtr file = find_file(fh);
+  if (!file) co_return;
+  if (size < file->size) {
+    const uint64_t valid_before = file->valid.total_length();
+    file->valid.subtract(size, ~0ull);
+    claim_dirty(*file, size, ~0ull);
+    file->content.drop(size, ~0ull);
+    // Truncated bytes need no replay either.
+    for (auto& [idx, t] : file->commit_targets) {
+      t.uncommitted.subtract(size, ~0ull);
     }
-    state->size = size;
-    break;
+    account_valid_delta(
+        -static_cast<int64_t>(valid_before - file->valid.total_length()));
   }
+  file->size = size;
+}
+
+NfsClient::FilePtr NfsClient::find_file(const FileHandle& fh) const {
+  for (const auto& [ino, f] : files_) {
+    if (f->fh == fh) return f;
+  }
+  return nullptr;
 }
 
 Task<void> NfsClient::mkdir(const std::string& path) {
   const auto [dir, name] = split_parent(path);
   const FileHandle parent = co_await resolve(dir);
-  auto s = co_await session_for(mds_);
-  CompoundBuilder b = with_sequence(s->id);
-  b.add(OpCode::kPutFh, PutFhArgs{parent});
+  Compound b = sequenced(parent);
   b.add(OpCode::kCreate, CreateArgs{name});
   b.add(OpCode::kGetFh);
   CompoundReply r(co_await call(mds_, std::move(b), 0));
-  r.expect(OpCode::kSequence);
-  r.expect(OpCode::kPutFh);
   r.expect(OpCode::kCreate);
   dentry_cache_[path] = r.expect<GetFhRes>(OpCode::kGetFh).fh;
 }
@@ -529,13 +492,9 @@ Task<void> NfsClient::mkdir(const std::string& path) {
 Task<void> NfsClient::remove(const std::string& path) {
   const auto [dir, name] = split_parent(path);
   const FileHandle parent = co_await resolve(dir);
-  auto s = co_await session_for(mds_);
-  CompoundBuilder b = with_sequence(s->id);
-  b.add(OpCode::kPutFh, PutFhArgs{parent});
+  Compound b = sequenced(parent);
   b.add(OpCode::kRemove, RemoveArgs{name});
   CompoundReply r(co_await call(mds_, std::move(b), 0));
-  r.expect(OpCode::kSequence);
-  r.expect(OpCode::kPutFh);
   r.expect(OpCode::kRemove);
   invalidate_dentries(path);
 }
@@ -545,15 +504,11 @@ Task<void> NfsClient::rename(const std::string& from, const std::string& to) {
   const auto [dst_dir, new_name] = split_parent(to);
   const FileHandle src = co_await resolve(src_dir);
   const FileHandle dst = co_await resolve(dst_dir);
-  auto s = co_await session_for(mds_);
-  CompoundBuilder b = with_sequence(s->id);
-  b.add(OpCode::kPutFh, PutFhArgs{src});
+  Compound b = sequenced(src);
   b.add(OpCode::kSaveFh);
   b.add(OpCode::kPutFh, PutFhArgs{dst});
   b.add(OpCode::kRename, RenameArgs{old_name, new_name});
   CompoundReply r(co_await call(mds_, std::move(b), 0));
-  r.expect(OpCode::kSequence);
-  r.expect(OpCode::kPutFh);
   r.expect(OpCode::kSaveFh);
   r.expect(OpCode::kPutFh);
   r.expect(OpCode::kRename);
@@ -563,25 +518,17 @@ Task<void> NfsClient::rename(const std::string& from, const std::string& to) {
 
 Task<std::vector<DirEntry>> NfsClient::readdir(const std::string& path) {
   const FileHandle dir = co_await resolve(path);
-  auto s = co_await session_for(mds_);
-  CompoundBuilder b = with_sequence(s->id);
-  b.add(OpCode::kPutFh, PutFhArgs{dir});
+  Compound b = sequenced(dir);
   b.add(OpCode::kReaddir);
   CompoundReply r(co_await call(mds_, std::move(b), 0));
-  r.expect(OpCode::kSequence);
-  r.expect(OpCode::kPutFh);
   co_return r.expect<ReaddirRes>(OpCode::kReaddir).entries;
 }
 
 Task<Fattr> NfsClient::stat(const std::string& path) {
   const FileHandle fh = co_await resolve(path);
-  auto s = co_await session_for(mds_);
-  CompoundBuilder b = with_sequence(s->id);
-  b.add(OpCode::kPutFh, PutFhArgs{fh});
+  Compound b = sequenced(fh);
   b.add(OpCode::kGetattr);
   CompoundReply r(co_await call(mds_, std::move(b), 0));
-  r.expect(OpCode::kSequence);
-  r.expect(OpCode::kPutFh);
   co_return r.expect<GetattrRes>(OpCode::kGetattr).attr;
 }
 
@@ -602,21 +549,17 @@ Task<NfsClient::FilePtr> NfsClient::open(const std::string& path, bool create,
   // local — no RPC, guaranteed-fresh cache.
   if (!create && read_only) {
     if (auto it = dentry_cache_.find(path); it != dentry_cache_.end()) {
-      for (auto& [ino, state] : files_) {
-        if (state->fh == it->second && state->read_delegation) {
-          ++state->open_count;
-          state->last_use = ++lru_clock_;
-          co_return state;
-        }
+      if (FilePtr f = find_file(it->second); f && f->read_delegation) {
+        ++f->open_count;
+        f->last_use = ++lru_clock_;
+        co_return f;
       }
     }
   }
 
   const auto [dir, name] = split_parent(path);
   const FileHandle parent = co_await resolve(dir);
-  auto s = co_await session_for(mds_);
-  CompoundBuilder b = with_sequence(s->id);
-  b.add(OpCode::kPutFh, PutFhArgs{parent});
+  Compound b = sequenced(parent);
   b.add(OpCode::kOpen,
         OpenArgs{name, create,
                  read_only ? ShareAccess::kRead : ShareAccess::kBoth});
@@ -628,8 +571,6 @@ Task<NfsClient::FilePtr> NfsClient::open(const std::string& path, bool create,
                         0, ~0ull});
   }
   CompoundReply r(co_await call(mds_, std::move(b), 0));
-  r.expect(OpCode::kSequence);
-  r.expect(OpCode::kPutFh);
   const auto open_res = r.expect<OpenRes>(OpCode::kOpen);
   const FileHandle fh = r.expect<GetFhRes>(OpCode::kGetFh).fh;
 
@@ -706,14 +647,10 @@ Task<void> NfsClient::close(FilePtr file) {
       file->stateid =
           file->open_stateids.empty() ? closing : file->open_stateids.back();
     }
-    auto s = co_await session_for(mds_);
-    CompoundBuilder b = with_sequence(s->id);
-    b.add(OpCode::kPutFh, PutFhArgs{file->fh});
+    Compound b = sequenced(file->fh);
     b.add(OpCode::kGetattr);  // refresh change/size for close-to-open caching
     b.add(OpCode::kClose, CloseArgs{closing});
     CompoundReply r(co_await call(mds_, std::move(b), 0));
-    r.expect(OpCode::kSequence);
-    r.expect(OpCode::kPutFh);
     fresh = r.expect<GetattrRes>(OpCode::kGetattr).attr;
     r.expect(OpCode::kClose);
     --file->server_opens;
@@ -774,39 +711,24 @@ bool NfsClient::file_has_layout(const FilePtr& file) const {
 // I/O routing
 // ---------------------------------------------------------------------------
 
-NfsClient::IoSlice NfsClient::mds_slice(const FileState& f, uint64_t offset,
-                                        uint64_t length) const {
-  IoSlice slice;
-  slice.device_index = IoSlice::kMds;
-  slice.addr = mds_;
-  slice.fh = f.fh;
+IoSlice NfsClient::mds_slice(const FileState& f, uint64_t offset,
+                             uint64_t length) const {
   // Under a delegation-elided open there is no server-side open stateid;
   // reads ride the anonymous stateid (the delegation stateid, in effect).
-  slice.stateid = f.server_opens > 0 ? f.stateid : kAnonymousStateid;
-  slice.target_offset = offset;
-  slice.file_offset = offset;
-  slice.length = length;
-  return slice;
+  return IoSlice{IoSlice::kMds, mds_, f.fh,
+                 f.server_opens > 0 ? f.stateid : kAnonymousStateid, offset,
+                 offset, length};
 }
 
-NfsClient::IoSlice NfsClient::device_slice(const FileState& f, size_t dev,
-                                           uint64_t target_offset,
-                                           uint64_t file_offset,
-                                           uint64_t length) const {
-  IoSlice slice;
-  slice.device_index = dev;
-  slice.addr = devices_.at(f.layout->devices[dev]);
-  slice.fh = f.layout->fhs[dev];
-  slice.stateid = kDataServerStateid;
-  slice.target_offset = target_offset;
-  slice.file_offset = file_offset;
-  slice.length = length;
-  return slice;
+IoSlice NfsClient::device_slice(const FileState& f, size_t dev,
+                                uint64_t target_offset, uint64_t file_offset,
+                                uint64_t length) const {
+  return IoSlice{dev, devices_.at(f.layout->devices[dev]), f.layout->fhs[dev],
+                 kDataServerStateid, target_offset, file_offset, length};
 }
 
-std::vector<NfsClient::IoSlice> NfsClient::route(FileState& f, uint64_t offset,
-                                                 uint64_t length,
-                                                 bool for_write) {
+std::vector<IoSlice> NfsClient::route(FileState& f, uint64_t offset,
+                                      uint64_t length, bool for_write) {
   std::vector<IoSlice> out;
   if (f.layout) {
     const AggregationDriver* driver = aggregations_->find(f.layout->aggregation);
@@ -837,7 +759,7 @@ std::vector<NfsClient::IoSlice> NfsClient::route(FileState& f, uint64_t offset,
           tally(stats_.replica_reroutes, m_replica_reroutes_);
         }
       } else if (config_.mds_fallback && !redundant && !slice.parity &&
-                 breaker_open(slice.addr)) {
+                 health_.open(slice.addr)) {
         // Open breaker: don't even try the sick DS, proxy through the MDS.
         // Redundant layouts never take this path — their surviving copies
         // or parity serve the bytes via the degraded rungs instead.
@@ -861,12 +783,6 @@ std::vector<NfsClient::IoSlice> NfsClient::route(FileState& f, uint64_t offset,
 // Data-server health and failure recovery
 // ---------------------------------------------------------------------------
 
-bool NfsClient::breaker_open(const rpc::RpcAddress& addr) const {
-  const auto it = ds_health_.find(addr);
-  return it != ds_health_.end() &&
-         fabric_.simulation().now() < it->second.open_until;
-}
-
 void NfsClient::note_layout_flags(uint64_t fileid, const FileLayout& l) {
   if (l.unavailable.empty()) return;
   tally(stats_.devices_flagged, m_devices_flagged_, l.unavailable.size());
@@ -878,31 +794,11 @@ void NfsClient::note_layout_flags(uint64_t fileid, const FileLayout& l) {
               static_cast<unsigned long long>(fileid), ids.c_str());
 }
 
-void NfsClient::record_ds_result(const rpc::RpcAddress& addr, bool ok) {
-  DsHealth& h = ds_health_[addr];
-  if (ok) {
-    h.consecutive_failures = 0;
-    h.open_until = 0;
-    return;
-  }
-  ++h.consecutive_failures;
-  if (h.consecutive_failures == config_.breaker_threshold) {
-    h.open_until = fabric_.simulation().now() + config_.breaker_reset;
-    tally(stats_.breaker_trips, m_breaker_trips_);
-    util::logf(util::LogLevel::kWarn, "nfs.client", fabric_.simulation().now(),
-               "circuit breaker opened for DS node %u port %u",
-               addr.node_id, static_cast<unsigned>(addr.port));
-    note_flight("breaker.trip", "ds node %u port %u until %lld ns",
-                addr.node_id, static_cast<unsigned>(addr.port),
-                static_cast<long long>(h.open_until));
-  }
-}
-
 Task<void> NfsClient::refetch_layout(FileState& f, bool force) {
   if (!config_.pnfs_enabled || !f.layout) co_return;
   const sim::Time now = fabric_.simulation().now();
   if (!force && f.layout_refetched_at >= 0 &&
-      now - f.layout_refetched_at < config_.breaker_reset) {
+      now - f.layout_refetched_at < health_.reset()) {
     co_return;  // refreshed recently; don't hammer the MDS per failed slice
   }
   f.layout_refetched_at = now;
@@ -911,14 +807,10 @@ Task<void> NfsClient::refetch_layout(FileState& f, bool force) {
               static_cast<unsigned long long>(f.attr.fileid),
               force ? " forced" : "");
   try {
-    auto s = co_await session_for(mds_);
-    CompoundBuilder b = with_sequence(s->id);
-    b.add(OpCode::kPutFh, PutFhArgs{f.fh});
+    Compound b = sequenced(f.fh);
     b.add(OpCode::kLayoutGet,
           LayoutGetArgs{LayoutIoMode::kReadWrite, 0, ~0ull});
     CompoundReply r(co_await call(mds_, std::move(b), 0));
-    r.expect(OpCode::kSequence);
-    r.expect(OpCode::kPutFh);
     if (r.try_next(OpCode::kLayoutGet) == Status::kOk) {
       FileLayout l = LayoutGetRes::decode(r.dec()).layout;
       if (layout_usable(l)) {
@@ -970,8 +862,8 @@ void NfsClient::redirty_lost(FileState& f, size_t target) {
   it->second.uncommitted.clear();
   tally(stats_.replayed_extents, m_replayed_extents_, extents);
   tally(stats_.replayed_bytes, m_replayed_bytes_, bytes);
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    obs::TraceContext ctx = tracer_->begin({});
+  if (obs::Tracer* tracer = fabric_.tracer(); tracer && tracer->enabled()) {
+    obs::TraceContext ctx = tracer->begin({});
     obs::Span span;
     span.trace_id = ctx.trace_id;
     span.span_id = ctx.span_id;
@@ -983,7 +875,7 @@ void NfsClient::redirty_lost(FileState& f, size_t target) {
     span.start = fabric_.simulation().now();
     span.end = fabric_.simulation().now();
     span.bytes_out = bytes;
-    tracer_->record(std::move(span));
+    tracer->record(std::move(span));
   }
   note_flight("wb.replay", "fileid %llu target %lld %llu bytes %llu extents",
               static_cast<unsigned long long>(f.attr.fileid),
@@ -1036,7 +928,7 @@ bool NfsClient::device_unhealthy(const FileState& f, size_t device,
   const DeviceId id = f.layout->devices[device];
   const auto it = devices_.find(id);
   if (it == devices_.end()) return true;
-  if (breaker_open(it->second)) return true;
+  if (health_.open(it->second)) return true;
   const auto& down = f.layout->unavailable;
   if (reading && std::find(down.begin(), down.end(), id) != down.end()) {
     return true;
@@ -1112,7 +1004,7 @@ Task<bool> NfsClient::ec_reconstruct_block(FileState& f, const IoSlice& slice,
         try {
           Payload p;
           co_await self.read_slice_op(sh, p);
-          self.record_ds_result(sh.addr, true);
+          self.health_.record(sh.addr, true);
           // Virtual payloads carry no bytes: they code as zeros.
           const auto span = p.data();
           std::vector<std::byte> bytes(static_cast<size_t>(len), std::byte{0});
@@ -1121,7 +1013,7 @@ Task<bool> NfsClient::ec_reconstruct_block(FileState& f, const IoSlice& slice,
           ++g.have;
           co_return;
         } catch (const NfsError&) {
-          self.record_ds_result(sh.addr, false);
+          self.health_.record(sh.addr, false);
         }
       }
     }(*this, f, *geo, grp, slice.length, g));
@@ -1174,10 +1066,10 @@ Task<bool> NfsClient::degraded_read(FileState& f, IoSlice slice, Payload& out) {
                                        slice.file_offset, slice.length);
       try {
         co_await read_slice_op(alt, out);
-        record_ds_result(alt.addr, true);
+        health_.record(alt.addr, true);
         served = true;
       } catch (const NfsError&) {
-        record_ds_result(alt.addr, false);
+        health_.record(alt.addr, false);
       }
     }
   }
@@ -1235,7 +1127,6 @@ void NfsClient::note_degraded_commit(FileState& f, size_t device_index) {
 }
 
 Task<void> NfsClient::read_slice_op(const IoSlice& slice, Payload& out) {
-  auto s = co_await session_for(slice.addr);
   // A short reply means one of two things, and they need opposite handling:
   // EOF on the stripe object (a hole — the missing tail genuinely reads as
   // zeros) vs. a mid-object short READ (the server returned fewer bytes than
@@ -1244,14 +1135,11 @@ Task<void> NfsClient::read_slice_op(const IoSlice& slice, Payload& out) {
   bool eof = false;
   while (got.size() < slice.length && !eof) {
     const uint64_t want = slice.length - got.size();
-    CompoundBuilder b = with_sequence(s->id);
-    b.add(OpCode::kPutFh, PutFhArgs{slice.fh});
+    Compound b = sequenced(slice.fh);
     b.add(OpCode::kRead, ReadArgs{slice.stateid,
                                   slice.target_offset + got.size(),
                                   static_cast<uint32_t>(want)});
     CompoundReply r(co_await call(slice.addr, std::move(b), want));
-    r.expect(OpCode::kSequence);
-    r.expect(OpCode::kPutFh);
     auto res = r.expect<ReadRes>(OpCode::kRead);
     if (res.data.size() > want) {
       throw NfsError(Status::kIo, "overlong READ reply");
@@ -1269,21 +1157,12 @@ Task<void> NfsClient::read_slice_op(const IoSlice& slice, Payload& out) {
 Task<void> NfsClient::read_vector_op(const std::vector<IoSlice>& slices,
                                      std::vector<Payload>& out) {
   const IoSlice& first = slices.front();
-  auto s = co_await session_for(first.addr);
-  std::vector<IoRegion> regions;
-  regions.reserve(slices.size());
   uint64_t total = 0;
-  for (const IoSlice& sl : slices) {
-    regions.push_back({sl.target_offset, static_cast<uint32_t>(sl.length)});
-    total += sl.length;
-  }
-  CompoundBuilder b = with_sequence(s->id);
-  b.add(OpCode::kPutFh, PutFhArgs{first.fh});
-  ReadArgs a{first.stateid, std::move(regions)};
+  for (const IoSlice& sl : slices) total += sl.length;
+  Compound b = sequenced(first.fh);
+  ReadArgs a{first.stateid, regions_of(slices)};
   b.add(a.opcode(), a);
   CompoundReply r(co_await call(first.addr, std::move(b), total));
-  r.expect(OpCode::kSequence);
-  r.expect(OpCode::kPutFh);
   auto res = r.expect<ReadvRes>(OpCode::kReadv);
   if (res.lengths.size() != slices.size()) {
     throw NfsError(Status::kIo, "READV reply region count mismatch");
@@ -1322,22 +1201,13 @@ Task<void> NfsClient::write_vector_op(FileState& f,
                                       obs::TraceContext trace_parent) {
   const IoSlice& first = slices.front();
   const uint64_t total = data.size();
-  auto s = co_await session_for(first.addr);
-  CompoundBuilder b = with_sequence(s->id);
-  b.add(OpCode::kPutFh, PutFhArgs{first.fh});
-  std::vector<IoRegion> regions;
-  regions.reserve(slices.size());
-  for (const IoSlice& sl : slices) {
-    regions.push_back({sl.target_offset, static_cast<uint32_t>(sl.length)});
-  }
-  WriteArgs a{first.stateid, std::move(regions), StableHow::kUnstable,
+  Compound b = sequenced(first.fh);
+  WriteArgs a{first.stateid, regions_of(slices), StableHow::kUnstable,
               std::move(data)};
   const OpCode op = a.opcode();
   b.add(op, a);
   CompoundReply r(
       co_await call(first.addr, std::move(b), total, trace_parent));
-  r.expect(OpCode::kSequence);
-  r.expect(OpCode::kPutFh);
   const auto res = r.expect<WriteRes>(op);
   if (res.committed == StableHow::kUnstable) {
     // The reply's single verifier covers every region of the list.
@@ -1351,13 +1221,9 @@ Task<void> NfsClient::write_vector_op(FileState& f,
 }
 
 Task<void> NfsClient::commit_op(const IoSlice& target, uint64_t* verifier) {
-  auto s = co_await session_for(target.addr);
-  CompoundBuilder b = with_sequence(s->id);
-  b.add(OpCode::kPutFh, PutFhArgs{target.fh});
+  Compound b = sequenced(target.fh);
   b.add(OpCode::kCommit, CommitArgs{0, 0});
   CompoundReply r(co_await call(target.addr, std::move(b), 0));
-  r.expect(OpCode::kSequence);
-  r.expect(OpCode::kPutFh);
   const uint64_t v = r.expect<CommitRes>(OpCode::kCommit).verifier;
   if (verifier != nullptr) *verifier = v;
 }
@@ -1385,7 +1251,7 @@ Task<void> NfsClient::run_ladder(FileState& f, IoSlice slice,
   for (uint32_t tries = 0;; ++tries) {
     try {
       co_await attempt(slice);
-      if (via_ds) record_ds_result(slice.addr, true);
+      if (via_ds) health_.record(slice.addr, true);
       co_return;
     } catch (const NfsError& e) {
       fail = e.status();  // recover outside the handler (it cannot co_await)
@@ -1394,8 +1260,8 @@ Task<void> NfsClient::run_ladder(FileState& f, IoSlice slice,
       errors.record(fail);
       co_return;
     }
-    record_ds_result(slice.addr, false);
-    if (tries >= config_.slice_retries || breaker_open(slice.addr)) break;
+    health_.record(slice.addr, false);
+    if (tries >= config_.slice_retries || health_.open(slice.addr)) break;
     tally(stats_.recovery_retries, m_retries_);  // same DS, next attempt
   }
   // Redundant rung: a surviving replica, k-of-n reconstruction, or the
@@ -1481,10 +1347,10 @@ Task<void> NfsClient::run_vector(const std::vector<IoSlice>& slices,
   const bool via_ds = first.device_index != IoSlice::kMds;
   try {
     co_await whole();
-    if (via_ds) record_ds_result(first.addr, true);
+    if (via_ds) health_.record(first.addr, true);
     co_return;
   } catch (const NfsError&) {
-    if (via_ds) record_ds_result(first.addr, false);
+    if (via_ds) health_.record(first.addr, false);
   }
   // Degrade region by region: each slice gets the full ladder (same-DS
   // retries, layout refetch, MDS fallback) and its own error slot.
@@ -1542,14 +1408,12 @@ Task<Payload> NfsClient::read(FilePtr file, uint64_t offset, uint64_t length) {
   const uint64_t want = end - offset;
 
   co_await node_.cpu().execute(static_cast<sim::Duration>(
-      config_.cpu_ns_per_byte * static_cast<double>(want)));
+      kCpuNsPerByte * static_cast<double>(want)));
 
   if (!config_.data_cache) {
     Payload p = co_await read_slices(*file, offset, want);
     tally(stats_.bytes_read, m_read_bytes_, p.size());
-    // Sequential detection still applies (kernel readahead exists even for
-    // O_DIRECT-less uncached mode is moot — without a cache there is nowhere
-    // to put readahead data, so skip it).
+    // No readahead: without a cache there is nowhere to put its data.
     co_return p;
   }
 
@@ -1581,10 +1445,9 @@ Task<Payload> NfsClient::read(FilePtr file, uint64_t offset, uint64_t length) {
 
   // Sequential readahead.  Extensions are quantized to whole rsize chunks
   // so the wire sees rsize-sized READs, not request-sized dribbles.
-  if (offset == file->expected_seq_offset && config_.readahead_window > 0) {
-    const uint64_t target = std::min<uint64_t>(
-        file->size,
-        end + static_cast<uint64_t>(config_.readahead_window) * config_.rsize);
+  if (offset == file->expected_seq_offset) {
+    const uint64_t target =
+        std::min<uint64_t>(file->size, end + kReadaheadWindow * config_.rsize);
     const uint64_t from = std::max(end, file->readahead_high);
     if (target > from && (target - from >= config_.rsize || target == file->size)) {
       file->readahead_high = target;
@@ -1790,7 +1653,7 @@ Task<void> NfsClient::write(FilePtr file, uint64_t offset, Payload data) {
   const uint64_t end = offset + len;
 
   co_await node_.cpu().execute(static_cast<sim::Duration>(
-      config_.cpu_ns_per_byte * static_cast<double>(len)));
+      kCpuNsPerByte * static_cast<double>(len)));
 
   const bool ec = file->layout &&
                   file->layout->aggregation == AggregationType::kErasureCoded;
@@ -1833,302 +1696,49 @@ Task<void> NfsClient::write(FilePtr file, uint64_t offset, Payload data) {
 // Per-data-server write-back scheduler
 // ---------------------------------------------------------------------------
 
-NfsClient::DsSched& NfsClient::sched_for(const rpc::RpcAddress& addr) {
-  auto it = scheds_.find(addr);
-  if (it != scheds_.end()) return it->second;
-  DsSched sched;
-  sched.window = std::make_unique<sim::Semaphore>(
-      fabric_.simulation(), std::max<uint32_t>(1, config_.wb_window_per_ds));
-  sched.label =
-      (addr == mds_) ? "mds" : "ds" + std::to_string(addr.node_id);
-  obs::MetricsRegistry& reg = fabric_.metrics();
-  const std::string& n = node_.name();
-  sched.m_queue_depth =
-      &reg.gauge(n, "client.sched", "queue_depth_" + sched.label);
-  sched.m_queue_peak =
-      &reg.gauge(n, "client.sched", "queue_depth_peak_" + sched.label);
-  sched.m_window_inflight =
-      &reg.gauge(n, "client.sched", "window_inflight_" + sched.label);
-  return scheds_.emplace(addr, std::move(sched)).first->second;
-}
-
-void NfsClient::note_sched_queue(DsSched& sched) {
-  uint64_t depth = 0;
-  for (const auto& [ino, q] : sched.queues) depth += q.size();
-  sched.m_queue_depth->set(static_cast<double>(depth));
-  if (static_cast<double>(depth) > sched.queue_peak) {
-    sched.queue_peak = static_cast<double>(depth);
-    sched.m_queue_peak->set(sched.queue_peak);
+Task<bool> NfsClient::write_back(WbDispatch& d) {
+  FileState& f = d.file;
+  StatusCollector errors;
+  if (d.commit) {
+    co_await commit_ladder(f, d.slices.front().device_index, errors);
+    co_return !errors.failed();
   }
-}
-
-void NfsClient::enqueue_writeback(const FilePtr& file, IoSlice slice,
-                                  Payload data) {
-  DsSched& sched = sched_for(slice.addr);
-  auto& q = sched.queues[file->attr.fileid];
-  const uint64_t start = slice.target_offset;
-  const uint64_t end = start + slice.length;
-
-  // Newest data wins: trim every queued extent the new bytes overlap down
-  // to its surviving head/tail and re-push those.  The queue stays disjoint,
-  // so dispatch order can never resurrect stale bytes.
-  while (auto hit = q.pop_overlap(start, end)) {
-    const uint64_t old_start = hit->start;
-    const uint64_t old_end = hit->start + hit->length;
-    QueuedWrite& old_qw = hit->value;
-    if (old_start < start) {
-      const uint64_t head_len = start - old_start;
-      QueuedWrite head;
-      head.file = old_qw.file;
-      head.slice = old_qw.slice;
-      head.slice.length = head_len;
-      head.data = old_qw.data.slice(0, head_len);
-      head.enqueued_at = old_qw.enqueued_at;
-      q.push(old_start, head_len, std::move(head));
-    }
-    if (old_end > end) {
-      const uint64_t skip = end - old_start;
-      const uint64_t tail_len = old_end - end;
-      QueuedWrite tail;
-      tail.file = old_qw.file;
-      tail.slice = old_qw.slice;
-      tail.slice.target_offset = end;
-      tail.slice.file_offset += skip;
-      tail.slice.length = tail_len;
-      tail.data = old_qw.data.slice(skip, tail_len);
-      tail.enqueued_at = old_qw.enqueued_at;
-      q.push(end, tail_len, std::move(tail));
-    }
-  }
-
-  QueuedWrite item;
-  item.file = file;
-  item.slice = slice;
-  item.data = std::move(data);
-  item.enqueued_at = fabric_.simulation().now();
-  q.push(start, slice.length, std::move(item));
-  note_sched_queue(sched);
-
-  // The worker is scheduled, not run inline, so every extent of this flush
-  // is queued before the first dispatch — that's what makes runs mergeable.
-  file->wb_inflight->spawn(wb_worker(file, slice.addr));
-}
-
-Task<void> NfsClient::wb_worker(FilePtr file, rpc::RpcAddress addr) {
-  DsSched& sched = sched_for(addr);  // stable: scheds_ entries never erased
-  const uint64_t ino = file->attr.fileid;
-  for (;;) {
-    {
-      auto qit = sched.queues.find(ino);
-      if (qit == sched.queues.end() || qit->second.empty()) co_return;
-    }
-    co_await sched.window->acquire();
-    // Re-check: a sibling worker may have drained the queue while this one
-    // waited for a window slot.
-    auto qit = sched.queues.find(ino);
-    if (qit == sched.queues.end() || qit->second.empty()) {
-      if (qit != sched.queues.end()) sched.queues.erase(qit);
-      sched.window->release();
-      co_return;
-    }
-
-    const auto merge_ok = [this](const QueuedWrite& prev,
-                                 const QueuedWrite& next) {
-      // Adjacent in the target's address space (ExtentQueue's invariant)
-      // AND contiguous in file space through the same route: the merged
-      // WRITE must be one valid slice on both axes.
-      return config_.coalesce_writes &&
-             next.slice.device_index == prev.slice.device_index &&
-             next.slice.file_offset ==
-                 prev.slice.file_offset + prev.slice.length;
-    };
-    const auto splitter = [](QueuedWrite& v, uint64_t head_len) {
-      QueuedWrite head;
-      head.file = v.file;
-      head.slice = v.slice;
-      head.slice.length = head_len;
-      head.data = v.data.slice(0, head_len);
-      head.enqueued_at = v.enqueued_at;
-      v.slice.target_offset += head_len;
-      v.slice.file_offset += head_len;
-      v.slice.length -= head_len;
-      v.data = v.data.slice(head_len, v.slice.length);
-      return head;
-    };
-    // Each pass pops one run of adjacent extents and folds it into one
-    // region.  With list I/O on, further runs from the same queue — mutually
-    // non-adjacent by construction, or pop_run would have merged them — join
-    // as more regions of one vectored WRITEV of up to wsize total bytes, so
-    // contiguity is no longer the price of batching strided extents.
-    std::vector<IoSlice> slices;
-    std::vector<Payload> payloads;
-    uint64_t total = 0;
-    sim::Time first_enq = 0;
-    for (;;) {
-      auto run = qit->second.pop_run(config_.wsize - total, merge_ok, splitter);
-      if (qit->second.empty()) sched.queues.erase(qit);
-      if (run.empty()) break;
-      IoSlice s = run.front().value.slice;
-      Payload data = std::move(run.front().value.data);
-      sim::Time enq = run.front().value.enqueued_at;
-      for (size_t i = 1; i < run.size(); ++i) {
-        QueuedWrite& qw = run[i].value;
-        s.length += qw.slice.length;
-        data.append(std::move(qw.data));
-        enq = std::min(enq, qw.enqueued_at);
-        tally(stats_.sched_coalesced_extents, m_sched_coalesced_extents_);
-        tally(stats_.sched_coalesced_bytes, m_sched_coalesced_bytes_,
-              qw.slice.length);
-      }
-      if (!slices.empty() && s.device_index != slices.front().device_index) {
-        // Same DS address, different route (different filehandle): a
-        // compound holds one PUTFH, so requeue for the next dispatch.
-        QueuedWrite back;
-        back.file = file;
-        back.slice = s;
-        back.data = std::move(data);
-        back.enqueued_at = enq;
-        sched.queues[ino].push(s.target_offset, s.length, std::move(back));
-        break;
-      }
-      first_enq = slices.empty() ? enq : std::min(first_enq, enq);
-      slices.push_back(s);
-      payloads.push_back(std::move(data));
-      total += s.length;
-      if (!config_.coalesce_writes ||
-          slices.size() >= config_.listio_max_regions ||
-          total >= config_.wsize) {
-        break;
-      }
-      qit = sched.queues.find(ino);
-      if (qit == sched.queues.end() || qit->second.empty()) break;
-    }
-    note_sched_queue(sched);
-    if (slices.empty()) {
-      sched.window->release();
+  // `payloads` keeps each region's bytes for re-dirtying if the WRITE
+  // fails; the wire payload is their scatter-gather concatenation.
+  co_await run_vector(
+      d.slices,
+      [&] {
+        Payload data;
+        for (const Payload& p : d.payloads) data.append(p);
+        return write_vector_op(f, d.slices, std::move(data), d.trace);
+      },
+      [&](size_t i) {
+        return write_ladder(f, d.slices[i], d.payloads[i], errors, d.trace);
+      },
+      /*concurrent=*/false);
+  if (!errors.failed()) co_return true;
+  f.wb_error = true;
+  // A failed write-back keeps its pages dirty (kernel semantics): the bytes
+  // were claimed from the dirty set at flush time, so put them back — except
+  // where a newer write already re-dirtied the range.
+  for (size_t i = 0; i < d.slices.size(); ++i) {
+    const IoSlice& s = d.slices[i];
+    if (s.parity) {
+      // Parity payloads are derived, never file bytes: restoring them into
+      // the cache would corrupt content.  Re-dirty the stripe group they
+      // cover so the next flush recomputes data + parity.
+      const uint64_t ge = std::min(f.size, covered_end(f, s));
+      if (ge > s.file_offset) mark_dirty(f, s.file_offset, ge);
       continue;
     }
-    if (slices.size() > 1) {
-      tally(stats_.vectored_writes, m_vectored_writes_);
-      tally(stats_.vectored_regions, m_vectored_regions_, slices.size());
-      tally(stats_.vectored_bytes, m_vectored_bytes_, total);
+    const uint64_t ws = s.file_offset;
+    for (const auto& gap : f.dirty.gaps(ws, ws + s.length)) {
+      mark_valid(f, gap.start,
+                 d.payloads[i].slice(gap.start - ws, gap.length()));
+      mark_dirty(f, gap.start, gap.end);
     }
-
-    ++sched.inflight;
-    sched.m_window_inflight->set(static_cast<double>(sched.inflight));
-
-    // NIC admission pacing: hold a transmit token for this WRITE's estimated
-    // serialization time, then hand it on while the RPC is still in flight.
-    // Dispatches across all per-DS pipelines thus stagger at wire rate —
-    // keeping server disk work overlapped with later transmissions instead
-    // of bunched after a convoy of time-sliced transfers — and a slow or
-    // dead DS holds the gate for one wire-time at most.
-    co_await tx_gate_->acquire();
-    {
-      sim::Simulation& sim = fabric_.simulation();
-      const double nic_bps = node_.nic().params().bytes_per_sec;
-      const sim::Duration wire = sim::duration_for_bytes(total, nic_bps);
-      sim.spawn([](sim::Simulation& sim, sim::Semaphore& gate,
-                   sim::Duration d) -> Task<void> {
-        co_await sim.delay(d);
-        gate.release();
-      }(sim, *tx_gate_, wire));
-    }
-
-    // Root an internal span over queue-entry -> WRITE-done so analyze_trace
-    // can attribute client-queue time per DS; the WRITE RPC below becomes
-    // its child hop.
-    obs::TraceContext ctx;
-    if (tracer_ != nullptr && tracer_->enabled()) ctx = tracer_->begin({});
-    const sim::Time dispatched_at = fabric_.simulation().now();
-
-    StatusCollector errors;
-    // `payloads` keeps each region's bytes for re-dirtying if the WRITE
-    // fails; the wire payload is their scatter-gather concatenation.
-    co_await run_vector(
-        slices,
-        [&] {
-          Payload data;
-          for (const Payload& p : payloads) data.append(p);
-          return write_vector_op(*file, slices, std::move(data), ctx);
-        },
-        [&](size_t i) {
-          return write_ladder(*file, slices[i], payloads[i], errors, ctx);
-        },
-        /*concurrent=*/false);
-    if (errors.failed()) {
-      file->wb_error = true;
-      // A failed write-back keeps its pages dirty (kernel semantics): the
-      // bytes were claimed from the dirty set at flush time, so put them
-      // back — except where a newer write already re-dirtied the range.
-      for (size_t i = 0; i < slices.size(); ++i) {
-        if (slices[i].parity) {
-          // Parity payloads are derived, never file bytes: restoring them
-          // into the cache would corrupt content.  Re-dirty the stripe
-          // group they cover so the next flush recomputes data + parity.
-          const uint64_t gs = slices[i].file_offset;
-          const uint64_t ge = std::min(file->size, covered_end(*file, slices[i]));
-          if (ge > gs) mark_dirty(*file, gs, ge);
-          continue;
-        }
-        const uint64_t ws = slices[i].file_offset;
-        const uint64_t we = ws + slices[i].length;
-        for (const auto& gap : file->dirty.gaps(ws, we)) {
-          mark_valid(*file, gap.start,
-                     payloads[i].slice(gap.start - ws, gap.length()));
-          mark_dirty(*file, gap.start, gap.end);
-        }
-      }
-    }
-    stats_.wire_write_bytes += total;
-    tally(stats_.sched_writes, m_sched_writes_);
-    m_sched_bytes_->add(total);
-
-    if (tracer_ != nullptr && ctx.valid()) {
-      obs::Span span;
-      span.trace_id = ctx.trace_id;
-      span.span_id = ctx.span_id;
-      span.kind = obs::SpanKind::kInternal;
-      span.name = "wb.sched/" + sched.label;
-      span.node = node_.name();
-      span.start = first_enq;
-      span.end = fabric_.simulation().now();
-      span.queue_wait = dispatched_at - first_enq;
-      span.bytes_out = total;
-      span.error = errors.failed();
-      tracer_->record(std::move(span));
-    }
-
-    if (!errors.failed() && config_.wb_commit_backlog != 0) {
-      uint64_t& backlog = sched.uncommitted[ino];
-      backlog += total;
-      if (backlog >= config_.wb_commit_backlog &&
-          !sched.commit_inflight.contains(ino)) {
-        // Enough unstable bytes parked at this DS: start its disk flush
-        // now, under the remaining transmissions, instead of letting it
-        // all pile up behind fsync's final COMMIT.
-        file->wb_inflight->spawn(
-            wb_background_commit(file, addr, slices.front().device_index));
-      }
-    }
-
-    --sched.inflight;
-    sched.m_window_inflight->set(static_cast<double>(sched.inflight));
-    sched.window->release();
   }
-}
-
-Task<void> NfsClient::wb_background_commit(FilePtr file, rpc::RpcAddress addr,
-                                           size_t device_index) {
-  DsSched& sched = sched_for(addr);
-  const uint64_t ino = file->attr.fileid;
-  sched.commit_inflight.insert(ino);
-  // Bytes completing while this COMMIT is in flight are not covered by it;
-  // they accumulate toward the next trigger.
-  sched.uncommitted[ino] = 0;
-  StatusCollector errors;  // best-effort: fsync's COMMIT retries stragglers
-  co_await commit_ladder(*file, device_index, errors);
-  sched.commit_inflight.erase(ino);
+  co_return false;
 }
 
 Task<void> NfsClient::flush_dirty(FilePtr file, bool only_full_chunks,
@@ -2180,8 +1790,8 @@ void NfsClient::enqueue_range(const FilePtr& file, uint64_t start,
       piece.target_offset += pos;
       piece.file_offset += pos;
       piece.length = std::min<uint64_t>(config_.wsize, s.length - pos);
-      enqueue_writeback(file, piece,
-                        file->content.load(piece.file_offset, piece.length));
+      wb_->enqueue(file, piece,
+                   file->content.load(piece.file_offset, piece.length));
     }
   }
 }
@@ -2261,7 +1871,7 @@ Task<void> NfsClient::flush_dirty_ec(FilePtr file) {
       IoSlice ps = device_slice(f, static_cast<size_t>(geo->k + j),
                                 gs / gb * su, gs, su);
       ps.parity = true;
-      enqueue_writeback(file, ps, std::move(parity[static_cast<size_t>(j)]));
+      wb_->enqueue(file, ps, std::move(parity[static_cast<size_t>(j)]));
     }
   }
 }
@@ -2311,7 +1921,7 @@ Task<void> NfsClient::commit_unstable(FileState& f) {
   }
   // Everything written so far is now stable; reset the background-COMMIT
   // backlog so the next write burst starts counting from zero.
-  for (auto& [addr, sched] : scheds_) sched.uncommitted.erase(f.attr.fileid);
+  wb_->reset_backlog(f.attr.fileid);
 }
 
 Task<void> NfsClient::fsync(FilePtr file) {
@@ -2343,13 +1953,9 @@ Task<void> NfsClient::fsync(FilePtr file) {
     }
   }
   if (file->size_dirty && file->layout) {
-    auto s = co_await session_for(mds_);
-    CompoundBuilder b = with_sequence(s->id);
-    b.add(OpCode::kPutFh, PutFhArgs{file->fh});
+    Compound b = sequenced(file->fh);
     b.add(OpCode::kLayoutCommit, LayoutCommitArgs{file->size, true});
     CompoundReply r(co_await call(mds_, std::move(b), 0));
-    r.expect(OpCode::kSequence);
-    r.expect(OpCode::kPutFh);
     const auto lc = r.expect<LayoutCommitRes>(OpCode::kLayoutCommit);
     if (lc.post_change != 0) {
       file->attr.change = std::max(file->attr.change, lc.post_change);

@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "nfs/ds_health.hpp"
 #include "nfs/layout.hpp"
 #include "nfs/ops.hpp"
 #include "nfs/types.hpp"
@@ -42,15 +43,13 @@ struct ClientConfig {
   uint32_t wsize = 2u << 20;               ///< max WRITE size (paper: 2 MB)
   uint64_t cache_limit_bytes = 1ull << 30; ///< page-cache budget
   uint64_t dirty_limit_bytes = 256ull << 20;
-  uint32_t readahead_window = 4;           ///< readahead depth, in rsize units
   bool data_cache = true;                  ///< ablation switch
   bool pnfs_enabled = true;                ///< issue LAYOUTGET at open
   /// Register a backchannel with the MDS so it can recall layouts.
   bool enable_backchannel = true;
-  /// Max concurrent write-back WRITEs **per data server**.  Each DS gets its
-  /// own bounded pipeline (semaphore + elevator queue), so a slow or failed
-  /// DS never stalls flushes destined for healthy ones — the serialization
-  /// the old global write-back window imposed.
+  /// Max concurrent write-back WRITEs **per data server**: each DS gets its
+  /// own bounded pipeline, so a slow or failed DS never stalls flushes
+  /// destined for healthy ones (see nfs/writeback.hpp).
   uint32_t wb_window_per_ds = 8;
   /// Merge adjacent dirty extents bound for the same DS into one WRITE of up
   /// to wsize before dispatch (elevator-style coalescing).  Ablation switch.
@@ -67,11 +66,6 @@ struct ClientConfig {
   /// fsync still sends its own one-per-DS COMMIT to cover stragglers.
   /// 0 disables background commits.
   uint64_t wb_commit_backlog = 1ull << 20;
-  /// Client copy/checksum cost, charged once at the syscall boundary and
-  /// once per RPC carrying data.  Calibrated so one client box sustains
-  /// ~64 MB/s on the read path (the paper's P3 clients: 8 of them cap
-  /// warm-cache reads at ~510-530 MB/s aggregate).
-  double cpu_ns_per_byte = 15.5;
 
   // -- Failure recovery (see docs/failures.md) -------------------------------
   /// Per-attempt deadline on data-server COMPOUNDs; 0 disables deadlines
@@ -139,6 +133,13 @@ struct ClientStats {
   uint64_t degraded_commits = 0;    ///< COMMIT targets dropped as dead
 };
 
+/// Counts one event (or `n` units) in a ClientStats field and its exported
+/// counter alike.
+inline void tally(uint64_t& stat, obs::Counter* counter, uint64_t n = 1) {
+  stat += n;
+  counter->add(n);
+}
+
 /// Records the first non-OK status across a fan-out of concurrent slice
 /// operations.
 class StatusCollector {
@@ -159,10 +160,31 @@ class StatusCollector {
   Status status_ = Status::kOk;
 };
 
+/// One I/O assignment: a byte range sent to one server.
+struct IoSlice {
+  static constexpr size_t kMds = static_cast<size_t>(-1);
+  size_t device_index = kMds;
+  rpc::RpcAddress addr;
+  FileHandle fh;
+  Stateid stateid;
+  uint64_t target_offset = 0;  ///< offset in the target's address space
+  uint64_t file_offset = 0;
+  uint64_t length = 0;
+  /// Erasure parity block: payload is derived (never file content), so it
+  /// must not fall back to the MDS and failures re-dirty the source group
+  /// instead of restoring payload bytes into the cache.
+  bool parity = false;
+};
+
+class FileState;
+using FilePtr = std::shared_ptr<FileState>;
+class CompoundReply;
+class WritebackScheduler;
+struct WbDispatch;
+
 class NfsClient {
  public:
-  class FileState;
-  using FilePtr = std::shared_ptr<FileState>;
+  using FilePtr = nfs::FilePtr;
 
   NfsClient(rpc::RpcFabric& fabric, sim::Node& node, rpc::RpcAddress mds,
             std::string principal, ClientConfig config = {},
@@ -217,67 +239,26 @@ class NfsClient {
     std::unique_ptr<sim::Semaphore> slots;
   };
 
-  /// One I/O assignment: a byte range sent to one server.
-  struct IoSlice {
-    static constexpr size_t kMds = static_cast<size_t>(-1);
-    size_t device_index = kMds;
-    rpc::RpcAddress addr;
-    FileHandle fh;
-    Stateid stateid;
-    uint64_t target_offset = 0;  ///< offset in the target's address space
-    uint64_t file_offset = 0;
-    uint64_t length = 0;
-    /// Erasure parity block: payload is derived (never file content), so it
-    /// must not fall back to the MDS and failures re-dirty the source group
-    /// instead of restoring payload bytes into the cache.
-    bool parity = false;
-  };
+  /// The write-back scheduler's dispatch callback: sends one WRITE/WRITEV
+  /// through run_vector and the write ladder (re-dirtying the regions on
+  /// failure), or one background COMMIT through the commit ladder.
+  sim::Task<bool> write_back(WbDispatch& d);
 
-  // Per-data-server write-back scheduler (see flush_dirty): each DS owns a
-  // bounded in-flight window plus an elevator queue of dirty extents; queued
-  // adjacent extents merge into up-to-wsize WRITEs at dispatch.
-  struct QueuedWrite {
-    FilePtr file;
-    IoSlice slice;
-    rpc::Payload data;
-    sim::Time enqueued_at = 0;
-  };
-  struct DsSched {
-    std::unique_ptr<sim::Semaphore> window;
-    /// fileid -> queued extents keyed by target offset (elevator order).
-    std::map<uint64_t, util::ExtentQueue<QueuedWrite>> queues;
-    uint32_t inflight = 0;      ///< WRITEs holding a window permit
-    double queue_peak = 0;      ///< high-water extent count
-    /// fileid -> completed-but-uncommitted bytes (background-COMMIT trigger).
-    std::map<uint64_t, uint64_t> uncommitted;
-    std::set<uint64_t> commit_inflight;  ///< fileids with a COMMIT running
-    std::string label;          ///< "ds<node>" or "mds" (metric suffix)
-    obs::Gauge* m_queue_depth;
-    obs::Gauge* m_queue_peak;
-    obs::Gauge* m_window_inflight;
-  };
-  DsSched& sched_for(const rpc::RpcAddress& addr);
-  void note_sched_queue(DsSched& sched);
-  /// Queues one routed dirty extent, trimming any queued extent the new
-  /// bytes overlap (newest data wins), and spawns a drain worker.
-  void enqueue_writeback(const FilePtr& file, IoSlice slice,
-                         rpc::Payload data);
-  sim::Task<void> wb_worker(FilePtr file, rpc::RpcAddress addr);
-  /// Best-effort COMMIT to one DS while write-back continues (see
-  /// ClientConfig::wb_commit_backlog); fsync's COMMIT covers stragglers.
-  sim::Task<void> wb_background_commit(FilePtr file, rpc::RpcAddress addr,
-                                       size_t device_index);
-
-  // Compound plumbing.  Every compound built by this client starts with a
-  // SEQUENCE op; call() owns session recovery: it patches the current
-  // session id into the encoded compound, and when the reply's SEQUENCE
+  // Compound plumbing.  Every compound built by this client starts with
+  // sequenced(): a placeholder SEQUENCE and, given a filehandle, a PUTFH of
+  // it.  call() owns the session: it patches the current session id into
+  // the encoded compound and consumes both results, and when SEQUENCE
   // answers BADSESSION or GRACE (the server restarted and forgot us) it
-  // drops the dead session, re-establishes one, and re-sends — so restart
-  // recovery is invisible to every call site.
-  sim::Task<rpc::RpcClient::Reply> call(rpc::RpcAddress addr,
-                                        CompoundBuilder builder,
-                                        uint64_t data_bytes,
-                                        obs::TraceContext trace_parent = {});
+  // drops the dead session, re-establishes one, and re-sends — so sessions
+  // and restart recovery are invisible to every call site, whose reply
+  // starts at its own first op.
+  struct Compound : CompoundBuilder {
+    bool putfh = false;
+  };
+  static Compound sequenced(std::optional<FileHandle> fh = {});
+  sim::Task<CompoundReply> call(rpc::RpcAddress addr, Compound compound,
+                                uint64_t data_bytes,
+                                obs::TraceContext trace_parent = {});
   sim::Task<std::shared_ptr<Session>> session_for(rpc::RpcAddress addr);
   /// Forgets `sid` for `addr` (a later call re-establishes).  Losing the
   /// *MDS* session means the MDS restarted: every layout and open stateid it
@@ -288,6 +269,9 @@ class NfsClient {
   rpc::CallOptions call_options(const rpc::RpcAddress& addr) const;
 
   bool layout_usable(const FileLayout& l) const;
+
+  /// The cached state of the file with handle `fh`, if any.
+  FilePtr find_file(const FileHandle& fh) const;
 
   // Path machinery.
   sim::Task<FileHandle> resolve(const std::string& path);
@@ -378,12 +362,9 @@ class NfsClient {
   [[gnu::format(printf, 3, 4)]] void note_flight(const char* kind,
                                                  const char* fmt, ...);
 
-  // Per-data-server health (consecutive-failure circuit breaker).
-  bool breaker_open(const rpc::RpcAddress& addr) const;
   /// Counts and records the unavailable devices a freshly granted layout
   /// names.
   void note_layout_flags(uint64_t fileid, const FileLayout& l);
-  void record_ds_result(const rpc::RpcAddress& addr, bool ok);
   sim::Task<void> refetch_layout(FileState& f, bool force = false);
   sim::Task<void> flush_dirty(FilePtr file, bool only_full_chunks,
                               bool wait_completion);
@@ -469,26 +450,6 @@ class NfsClient {
   std::map<rpc::RpcAddress, std::shared_ptr<sim::Latch>> session_creating_;
   std::map<DeviceId, rpc::RpcAddress> devices_;
 
-  /// Data-server circuit breakers: consecutive failures and, once tripped,
-  /// how long routing diverts this DS's slices to the MDS.
-  struct DsHealth {
-    uint32_t consecutive_failures = 0;
-    sim::Time open_until = 0;
-  };
-  std::map<rpc::RpcAddress, DsHealth> ds_health_;
-
-  /// Per-data-server write-back pipelines (std::map: references stay stable
-  /// across co_await while new DSes appear).
-  std::map<rpc::RpcAddress, DsSched> scheds_;
-
-  /// NIC admission gate for write-back dispatch: one transmit token.  The
-  /// NIC serializes frames, so launching every per-DS pipeline at once just
-  /// time-slices the link and bunches all completions (and the server disk
-  /// work behind them) at the tail.  A dispatch holds the token only for its
-  /// payload's estimated serialization time — never for the full RPC — so a
-  /// slow or dead DS cannot pin the gate.
-  std::unique_ptr<sim::Semaphore> tx_gate_;
-
   std::map<std::string, FileHandle> dentry_cache_;
   std::map<uint64_t, FilePtr> files_;  ///< fileid -> shared state
 
@@ -497,6 +458,8 @@ class NfsClient {
   uint64_t lru_clock_ = 0;
 
   ClientStats stats_;
+  DsHealth health_;  ///< data-server circuit breakers
+  std::unique_ptr<WritebackScheduler> wb_;  ///< per-DS write-back pipelines
 
   // "client.cache" component handles, resolved once at construction.
   obs::Counter* m_hit_bytes_;
@@ -505,18 +468,9 @@ class NfsClient {
   obs::Counter* m_write_bytes_;
   obs::Counter* m_readahead_fetches_;
   obs::Counter* m_rpcs_;
-  // "client.sched" component handles (per-DS gauges live in DsSched).
-  obs::Counter* m_sched_writes_;
-  obs::Counter* m_sched_bytes_;
-  obs::Counter* m_sched_coalesced_extents_;
-  obs::Counter* m_sched_coalesced_bytes_;
-  obs::Counter* m_vectored_writes_;
-  obs::Counter* m_vectored_regions_;
-  obs::Counter* m_vectored_bytes_;
   // "client.recovery" component handles.
   obs::Counter* m_retries_;
   obs::Counter* m_fallbacks_;
-  obs::Counter* m_breaker_trips_;
   obs::Counter* m_layout_refetches_;
   obs::Counter* m_rpc_retries_;
   obs::Counter* m_devices_flagged_;
@@ -532,15 +486,11 @@ class NfsClient {
   obs::Counter* m_ec_reconstructions_;
   obs::Counter* m_degraded_writes_;
   obs::Counter* m_degraded_commits_;
-  /// Trace sink (null when the fabric carries no tracer); write-back
-  /// dispatches emit a root span here so analyze_trace can attribute
-  /// client-queue time per DS.
-  obs::Tracer* tracer_ = nullptr;
 };
 
 /// Open-file state; exposed so deployments can inspect (tests) but opaque in
 /// normal use.
-class NfsClient::FileState {
+class FileState {
  public:
   FileHandle fh;
   Stateid stateid;

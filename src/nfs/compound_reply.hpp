@@ -29,6 +29,9 @@ class CompoundReply {
   }
   CompoundReply(const CompoundReply&) = delete;
   CompoundReply& operator=(const CompoundReply&) = delete;
+  /// Moving keeps `dec_` valid: it views the reply buffer's heap storage,
+  /// which a vector move hands over unchanged.
+  CompoundReply(CompoundReply&&) = default;
 
   uint32_t result_count() const noexcept { return count_; }
   bool has_more() const noexcept { return consumed_ < count_; }

@@ -74,7 +74,7 @@ ServiceTarget ds_target(const core::ClusterConfig& cfg, uint64_t i) {
       return {static_cast<uint32_t>(i % cfg.storage_nodes), rpc::kPvfsIoPort};
     case core::Architecture::kPnfs3Tier:
       return {cfg.storage_nodes / 2 +
-                  static_cast<uint32_t>(i % cfg.three_tier_data_servers),
+                  static_cast<uint32_t>(i % cfg.three_tier_data_servers()),
               rpc::kNfsPort};
     case core::Architecture::kPlainNfs:
       return {cfg.storage_nodes, rpc::kNfsPort};
@@ -211,7 +211,6 @@ ChaosOutcome run_chaos(core::Architecture arch, uint64_t seed) {
   cfg.architecture = arch;
   cfg.storage_nodes = 4;
   cfg.clients = kWriters + 1;  // 3 writers + 1 cold-cache verifier
-  cfg.three_tier_data_servers = 2;
 
   // Restart-recovery posture (as `simulate --chaos-seed`), an MDS grace
   // window, and COMMITs deferred so unstable data is genuinely exposed to
@@ -229,11 +228,11 @@ ChaosOutcome run_chaos(core::Architecture arch, uint64_t seed) {
   // fsync itself, shrinking the WRITE->COMMIT exposure to microseconds).
   cfg.nfs_client.wsize = static_cast<uint32_t>(kChunk);
   cfg.mds_grace_period = sim::ms(100);
-  // Head-sample half the traces (seeded => bit-reproducible) and tail-keep
-  // anything slow or errored: the soak doubles as the proof that sampling
-  // never perturbs simulation outcomes or its own determinism under chaos.
+  // Head-sample half the traces (seeded below => bit-reproducible) and
+  // tail-keep anything slow or errored: the soak doubles as the proof that
+  // sampling never perturbs simulation outcomes or its own determinism
+  // under chaos.
   cfg.trace_sample_rate = 0.5;
-  cfg.trace_sample_seed = seed;
   cfg.trace_slo_threshold = sim::ms(400);
 
   // Five non-overlapping restart windows in 600 ms slots (start jitter
@@ -255,6 +254,7 @@ ChaosOutcome run_chaos(core::Architecture arch, uint64_t seed) {
   }
 
   core::Deployment d(cfg);
+  d.tracer().set_sample_seed(seed);
   ScenarioState st;
   d.simulation().spawn(chaos_scenario(d, st));
   d.simulation().run();

@@ -112,17 +112,18 @@ TEST(ClientSched, CrashedDsDoesNotBlockHealthyPipelines) {
 // ---------------------------------------------------------------------------
 
 struct Rig {
+  sim::NicParams nic;  // both nodes
   sim::Simulation sim;
   sim::Network net{sim};
   rpc::RpcFabric fabric{net};
   sim::Node& server_node = net.add_node(sim::NodeParams{
       .name = "server",
-      .nic = sim::NicParams{},
+      .nic = nic,
       .disk = sim::DiskParams{},
       .cpu = sim::CpuParams{}});
   sim::Node& client_node = net.add_node(sim::NodeParams{
       .name = "client",
-      .nic = sim::NicParams{},
+      .nic = nic,
       .disk = std::nullopt,
       .cpu = sim::CpuParams{}});
   lfs::ObjectStore store{server_node};
@@ -130,7 +131,8 @@ struct Rig {
   nfs::NfsServer server{fabric, server_node, rpc::kNfsPort, backend};
   std::unique_ptr<NfsClient> client;
 
-  explicit Rig(ClientConfig cfg = {}) {
+  explicit Rig(ClientConfig cfg = {}, sim::NicParams nic_params = {})
+      : nic(nic_params) {
     cfg.pnfs_enabled = false;
     server.start();
     client = std::make_unique<NfsClient>(fabric, client_node, server.address(),
@@ -142,6 +144,10 @@ struct Rig {
     sim.run();
   }
 };
+
+/// A 100 Mbps link: 2 MiB takes ~180 ms on the wire, against ~33 ms of
+/// client CPU to write it.
+constexpr sim::NicParams kSlowNic{.bytes_per_sec = 11.5e6};
 
 TEST(ClientSched, AdjacentSmallDirtiesLeaveAsOneWsizeWrite) {
   Rig r;
@@ -164,11 +170,10 @@ TEST(ClientSched, AdjacentSmallDirtiesLeaveAsOneWsizeWrite) {
 TEST(ClientSched, QueuedExtentsCoalesceAndNewestDataWins) {
   ClientConfig cfg;
   cfg.wb_window_per_ds = 1;
-  // Keep the application far faster than the wire so the first WRITE is
-  // still in flight — pinning the single window slot — while later extents
-  // pile up in the queue.
-  cfg.cpu_ns_per_byte = 0.5;
-  Rig r(cfg);
+  // Keep the application far faster than the wire (a 100 Mbps link) so the
+  // first WRITE is still in flight — pinning the single window slot — while
+  // later extents pile up in the queue.
+  Rig r(cfg, kSlowNic);
   r.run([](Rig& r) -> Task<void> {
     co_await r.client->mount();
     auto f = co_await r.client->open("/f", true);
@@ -207,9 +212,8 @@ TEST(ClientSched, QueuedExtentsCoalesceAndNewestDataWins) {
 TEST(ClientSched, CoalescingCanBeDisabled) {
   ClientConfig cfg;
   cfg.wb_window_per_ds = 1;
-  cfg.cpu_ns_per_byte = 0.5;
   cfg.coalesce_writes = false;
-  Rig r(cfg);
+  Rig r(cfg, kSlowNic);
   r.run([](Rig& r) -> Task<void> {
     co_await r.client->mount();
     auto f = co_await r.client->open("/f", true);
@@ -525,7 +529,6 @@ TEST(ClientSched, MidObjectShortReadsAreReissuedNotZeroFilled) {
   server.start();
   ClientConfig cfg;
   cfg.pnfs_enabled = false;
-  cfg.readahead_window = 0;
   NfsClient client(fabric, client_node, server.address(), "t@SIM", cfg);
 
   sim.spawn([](NfsClient& client, ChokedReadBackend& choked) -> Task<void> {

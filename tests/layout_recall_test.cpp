@@ -122,6 +122,34 @@ TEST(LayoutRecall, SelfTruncateAlsoRecallsOwnLayout) {
   d.simulation().run();
 }
 
+/// Client 0 writes 64 MiB and truncates its own file to 1 MiB while most
+/// of that write-back is still queued, then fsyncs and closes; returns the
+/// size client 1 then sees.  Extents dispatched after the SETATTR would
+/// regrow the file.
+uint64_t size_after_self_truncate(Architecture arch) {
+  ClusterConfig cfg = small();
+  cfg.architecture = arch;
+  Deployment d(cfg);
+  uint64_t size = 0;
+  d.simulation().spawn([](Deployment& d, uint64_t& size) -> Task<void> {
+    co_await d.mount_all();
+    auto& a = native(d, 0);
+    auto fa = co_await a.open("/self", true);
+    co_await a.write(fa, 0, Payload::virtual_bytes(64_MiB));
+    co_await a.truncate("/self", 1_MiB);
+    co_await a.fsync(fa);
+    co_await a.close(fa);
+    size = (co_await native(d, 1).stat("/self")).size;
+  }(d, size));
+  d.simulation().run();
+  return size;
+}
+
+TEST(LayoutRecall, SelfTruncateWithQueuedWriteBackStaysTruncated) {
+  EXPECT_EQ(size_after_self_truncate(Architecture::kPlainNfs), 1_MiB);
+  EXPECT_EQ(size_after_self_truncate(Architecture::kDirectPnfs), 1_MiB);
+}
+
 TEST(LayoutRecall, NoBackchannelMeansNoRecallTraffic) {
   ClusterConfig cfg = small();
   cfg.nfs_client.enable_backchannel = false;

@@ -388,9 +388,9 @@ std::set<uint64_t> run_sampled_trace_ids(uint64_t seed) {
   cfg.storage_nodes = 3;
   cfg.clients = 2;
   cfg.trace_sample_rate = 0.5;
-  cfg.trace_sample_seed = seed;
   cfg.trace_slo_threshold = sim::sec(10);  // nothing is that slow here
   core::Deployment d(cfg);
+  d.tracer().set_sample_seed(seed);
   workload::IorConfig ior;
   ior.write = true;
   ior.bytes_per_client = 8ull << 20;
